@@ -532,12 +532,12 @@ def _load(store, path: str, compaction=None) -> Document:
 
 
 def _emit(document: Document, output: str | None) -> None:
-    text = document.to_string(indent="  ")
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            document.write(handle, indent="  ")
     else:
-        print(text)
+        document.write(sys.stdout, indent="  ")
+        sys.stdout.write("\n")
 
 
 def _print_stats(label: str, stats_obj, out=sys.stdout) -> None:

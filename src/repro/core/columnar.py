@@ -28,7 +28,11 @@ module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
   in-memory subtree sorts as batch kernels: sibling groups are gathered
   into one prefixed key batch and ordered with a single stable argsort,
   and a popped subtree's raw data-stack records are parsed, sorted, and
-  re-serialized by byte splicing without ever materializing tokens.
+  re-serialized by byte splicing without ever materializing tokens;
+* :func:`subtree_keypath_records` - NEXSORT's external subtree sorts:
+  key-path records spliced from a popped subtree's token records, whose
+  merged output :func:`emit_output_columnar` splices back into the
+  subtree's sorted run.
 
 **Parity guarantee.**  Every kernel here is counter-transparent: device
 accesses are issued in the same per-stream order at the same consumption
@@ -66,6 +70,7 @@ from ..xml.codec import (
     TYPE_POINTER,
     TYPE_START,
     TYPE_TEXT,
+    decode_key_atom,
     encode_key_atom,
     encode_varint,
     read_varint,
@@ -1312,6 +1317,16 @@ def _attach_raw_text(node: _RawNode, frame: bytes) -> None:
         node.texts = [pending, frame]
 
 
+def _joined_frame(texts) -> bytes:
+    """One string frame holding a node's collected text frames."""
+    if texts is None:
+        return b"\x00"
+    if type(texts) is list:
+        joined = b"".join([_frame_payload(frame) for frame in texts])
+        return varint_bytes(len(joined)) + joined
+    return texts
+
+
 def _attach_raw_node(node, root, stack):
     """build_subtree's attach rule: parent, else root, else error."""
     if stack:
@@ -1481,6 +1496,15 @@ def _parse_subtree_compact(
     return root, units, real
 
 
+def parse_subtree(
+    records: list[bytes], compact: bool, names_coded: bool
+) -> tuple[_RawNode, int, int]:
+    """(root, units, real elements) of a popped subtree's records."""
+    if compact:
+        return _parse_subtree_compact(records, names_coded)
+    return _parse_subtree_plain(records, names_coded)
+
+
 def sort_raw_tree(
     root: _RawNode,
     sort_levels: int | None,
@@ -1592,11 +1616,7 @@ def _serialize_raw_tree(
             append(b"\x01\x00" + tag_attrs)
         texts = node.texts
         if texts is not None:
-            if type(texts) is list:
-                joined = join([_frame_payload(frame) for frame in texts])
-                frame = varint_bytes(len(joined)) + joined
-            else:
-                frame = texts
+            frame = _joined_frame(texts)
             if compact:
                 append(b"\x02\x04" + frame + tail)
             else:
@@ -1673,13 +1693,77 @@ def sort_subtree_records(
     identical to the scalar internal path (``counted=True`` replays the
     counted comparison sequence exactly - see :func:`sort_raw_tree`).
     """
-    if compact:
-        root, units, real = _parse_subtree_compact(records, names_coded)
-    else:
-        root, units, real = _parse_subtree_plain(records, names_coded)
+    root, units, real = parse_subtree(records, compact, names_coded)
     sort_raw_tree(root, sort_levels, stats, prefix_width, counted=counted)
     out = _serialize_raw_tree(root, base_level, compact, names_coded)
     return out, units, real
+
+
+# -- fused external subtree sorts: token records -> key-path records ---------
+
+
+def subtree_keypath_records(
+    root: _RawNode, sort_levels: int | None, embedded: bool
+) -> Iterable[tuple[object, bytes]]:
+    """Key-path records of a parsed subtree, spliced from its record bytes.
+
+    The byte form of NEXSORT's external subtree-sort preparation
+    (``restore_end_tags`` / ``annotate_starts_from_ends`` ->
+    ``mask_keys_below`` -> ``records_from_annotated_events`` ->
+    ``encode_record``) over the raw tree of :func:`parse_subtree`.  The
+    token codec and the key-path format share the tag/attribute and
+    string frame layouts in both name dialects, so a record is the
+    element head, the cumulative encoded path, the start's ``tag+attrs``
+    slice and its joined text frame; a key masked below ``sort_levels``
+    becomes the missing atom.  Yields ``(key, record)`` in the token
+    path's order (elements after their subtrees, pointers in place) with
+    the keys it feeds the run former: the path tuple of decoded atoms, or
+    its engine-normalized bytes when ``embedded``.
+    """
+    atoms: dict[bytes, object] = {}
+    join = b"".join
+
+    def extend(node, depth, enc, key):
+        atom = node.atom
+        if atom is None or (sort_levels is not None and depth > sort_levels):
+            atom = b"\x00"
+        value = atoms.get(atom)
+        if value is None:
+            value = atoms[atom] = (
+                _normalize_encoded_atom(atom, 0)[0]
+                if embedded
+                else decode_key_atom(atom, 0)[0]
+            )
+        pos = node.pos
+        enc += atom + (_VARINT1[pos] if pos < 0x80 else varint_bytes(pos))
+        if embedded:
+            return enc, key + value + pos.to_bytes(8, "big")
+        return enc, key + ((value, pos),)
+
+    # Frames of the open elements: (node, encoded path, key, depth,
+    # children left); a virtual frame holds the root.
+    work = [(None, b"", b"" if embedded else (), 0, iter((root,)))]
+    while work:
+        node, enc, key, depth, children = work[-1]
+        for child in children:
+            child_enc, child_key = extend(child, depth + 1, enc, key)
+            if child.body is not None:  # a run pointer: emitted in place
+                yield child_key, join(
+                    (b"\x02", varint_bytes(depth + 1), child_enc, child.body)
+                )
+            else:
+                work.append((
+                    child, child_enc, child_key, depth + 1,
+                    iter(child.children),
+                ))
+                break
+        else:
+            work.pop()
+            if node is not None:
+                yield key, join((
+                    _element_head(depth), enc, node.tag_attrs,
+                    _joined_frame(node.texts),
+                ))
 
 
 # -- fused output: sorted records -> stored output tokens ---------------------
@@ -1693,20 +1777,29 @@ def emit_output_columnar(
     chunk_records: int = 0,
     names_coded: bool = False,
     emit_ends: bool = True,
-) -> None:
+    base_level: int = 1,
+    levels: bool = True,
+) -> int:
     """Fused output phase: path-sorted records back to stored tokens.
 
-    Turns path-sorted element records back into the stored token stream by
-    splicing: the output start/text/end token encodings are byte slices of
-    the record plus constant headers, so no token objects, string decodes,
-    or re-encodes happen.  Token counts and the emitted byte stream are
-    identical to ``tokens_from_sorted_records`` + ``codec.encode``.
+    Turns path-sorted key-path records back into the stored token stream
+    by splicing: the output start/text/end/pointer token encodings are
+    byte slices of the record plus constant headers, so no token objects,
+    string decodes, or re-encodes happen.  Token counts and the emitted
+    byte stream are identical to ``tokens_from_sorted_records`` +
+    ``codec.encode``.  Returns the number of tokens written.
 
     ``names_coded`` switches tag/attribute-name parsing to dictionary id
     varints (the spliced slices stay dialect-consistent end to end);
     ``emit_ends=False`` is end-tag-eliminated output - no end records,
     depth tracking only (``tokens_from_sorted_records`` with
-    ``emit_end_tags=False``).
+    ``emit_end_tags=False``).  ``base_level`` is the absolute level of
+    depth-1 records; ``levels=False`` writes starts and pointers without
+    their level, as NEXSORT's plain-mode subtree runs store them.
+
+    With ``device`` None no token is charged here; the caller charges
+    the returned count (the external subtree sort charges its run's
+    tokens once, after the final merge).
 
     ``chunk_records > 0`` additionally groups writer calls (safe only when
     no buffer pool or recovery context is attached - grouping reorders
@@ -1714,19 +1807,22 @@ def emit_output_columnar(
     observe); 0 writes token-at-a-time, preserving the exact global
     device-access interleaving.
     """
-    stats = device.stats
+    charge = device.stats.record_tokens if device is not None else None
     open_tags: list[bytes] = []
     out: list[bytes] = []
     append = out.append
     pending_tokens = 0
+    total = 0
 
     def flush() -> None:
-        nonlocal pending_tokens
+        nonlocal pending_tokens, total
         if out:
             # write_records frames the payloads synchronously, so the
             # list can be reused (keeps `append` a stable bound method).
             writer.write_records(out)
-            stats.record_tokens(pending_tokens)
+            if charge is not None:
+                charge(pending_tokens)
+            total += pending_tokens
             out.clear()
             pending_tokens = 0
 
@@ -1739,10 +1835,9 @@ def emit_output_columnar(
             else:
                 length, pos = _read_varint_fast(record, 0)
                 record = record[pos + length :]
-        if record[0] != 1:  # element records only on this path
-            raise CodecError(
-                "columnar output emit expects element key-path records"
-            )
+        record_kind = record[0]
+        if record_kind != 1 and record_kind != 2:
+            raise CodecError(f"unknown key-path record kind {record_kind}")
         depth = record[1]
         pos = 2
         if depth >= 0x80:
@@ -1767,8 +1862,13 @@ def emit_output_columnar(
             while record[pos] >= 0x80:
                 pos += 1
             pos += 1
+        # The payload: an element's tag+attrs slice (then its text frame),
+        # or a run pointer's run_id/element_count/payload_bytes - a leaf,
+        # never opened.
         tag_start = pos
-        if names_coded:
+        if record_kind == 2:
+            pos = len(record)
+        elif names_coded:
             while record[pos] >= 0x80:  # tag id varint
                 pos += 1
             pos += 1
@@ -1803,9 +1903,6 @@ def emit_output_columnar(
                 if length >= 0x80:
                     length, pos = _read_varint_fast(record, pos - 1)
                 pos += length
-        tag_attrs = record[tag_start:pos]
-        text_frame = record[pos:]
-
         while len(open_tags) >= depth:
             tag = open_tags.pop()
             if emit_ends:
@@ -1816,23 +1913,26 @@ def emit_output_columnar(
                 "key-path records out of order: jumped from depth "
                 f"{len(open_tags)} to {depth}"
             )
-        # Output starts carry their absolute level (base level 1 ->
-        # level == depth), exactly as tokens_from_sorted_records emits.
-        tail = level_tails.get(depth)
-        if tail is None:
-            tail = varint_bytes(depth)
-            level_tails[depth] = tail
-        append(b"\x01\x04" + tag_attrs + tail)
-        pending_tokens += 1
-        if text_frame != b"\x00":
-            append(b"\x02\x00" + text_frame)
-            pending_tokens += 1
-        open_tags.append(tag_frame)
-
-        if chunk_records:
-            if len(out) >= chunk_records:
-                flush()
+        # Output starts and pointers carry their absolute level, exactly
+        # as tokens_from_sorted_records emits them.
+        header = b"\x01" if record_kind == 1 else b"\x04"
+        if levels:
+            level = base_level + depth - 1
+            tail = level_tails.get(level)
+            if tail is None:
+                tail = level_tails[level] = varint_bytes(level)
+            append(header + b"\x04" + record[tag_start:pos] + tail)
         else:
+            append(header + b"\x00" + record[tag_start:pos])
+        pending_tokens += 1
+        if record_kind == 1:
+            text_frame = record[pos:]
+            if text_frame != b"\x00":
+                append(b"\x02\x00" + text_frame)
+                pending_tokens += 1
+            open_tags.append(tag_frame)
+
+        if not chunk_records or len(out) >= chunk_records:
             flush()
     while open_tags:
         tag = open_tags.pop()
@@ -1840,3 +1940,4 @@ def emit_output_columnar(
             append(b"\x03\x00" + tag)
             pending_tokens += 1
     flush()
+    return total

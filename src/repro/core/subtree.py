@@ -55,9 +55,12 @@ from ..xml.codec import TokenCodec, decode_key_atom
 from ..xml.compact import restore_end_tags
 from .columnar import (
     argsort_groups,
+    emit_output_columnar,
     fast_path_key,
     normalized_atom_bytes,
+    parse_subtree,
     sort_subtree_records,
+    subtree_keypath_records,
     subtree_root_summary,
 )
 from ..xml.tokens import (
@@ -549,16 +552,9 @@ class SubtreeSorter:
         key are identical to the scalar path (counted-comparison mode
         replays the scalar comparison sequence over dense ranks - see
         :func:`repro.core.columnar.sort_raw_tree`).  External-sized
-        subtrees decode and fall back to :meth:`sort_tokens`.
+        subtrees stay in bytes too (:meth:`_sort_external_records`).
         """
         internal = payload_bytes <= self.capacity_bytes
-        if not internal:
-            return self.sort_tokens(
-                self.codec.decode_batch(records),
-                payload_bytes,
-                base_level,
-                sort_levels,
-            )
         names_coded = self.codec.names is not None
         atom, root_pos = subtree_root_summary(
             records, self.compact, names_coded
@@ -566,6 +562,24 @@ class SubtreeSorter:
         root_key = (
             decode_key_atom(atom, 0)[0] if atom is not None else MISSING_KEY
         )
+        if not internal:
+            root, units, real = parse_subtree(
+                records, self.compact, names_coded
+            )
+            run, written = self._run_recoverably(
+                lambda: self._sort_external_records(
+                    root, base_level, sort_levels
+                )
+            )
+            return SubtreeResult(
+                run=run,
+                units=units,
+                real_elements=real,
+                payload_bytes=written,
+                root_key=root_key,
+                root_pos=root_pos,
+                internal=False,
+            )
         stats = self.store.device.stats
         counts: list[tuple[int, int]] = []
         prefix_width = self.options.keys.prefix_width
@@ -639,12 +653,76 @@ class SubtreeSorter:
 
     # -- external-memory (key-path) path -------------------------------------
 
+    def _sort_external_records(
+        self,
+        root,
+        base_level: int,
+        sort_levels: int | None,
+    ) -> tuple[RunHandle, int]:
+        """Key-path external sort of a parsed subtree, entirely in bytes.
+
+        The columnar form of :meth:`_sort_external`: key-path records are
+        spliced from the stored token records of the raw subtree ``root``
+        (:func:`repro.core.columnar.subtree_keypath_records`), formed into
+        runs with the keys the token path uses, merged, and the sorted
+        run's tokens are spliced back out of the merged records
+        (:func:`repro.core.columnar.emit_output_columnar`).  Run bytes,
+        token charges, comparisons, I/O order and trace are identical.
+        """
+        device = self.store.device
+        options = self.options
+        embedded = options.embedded_keys
+        names_coded = self.codec.names is not None
+        former = RunFormer(
+            self.store, self.capacity_bytes, options, tracer=self.tracer,
+            recovery=self.recovery,
+        )
+        add = former.bulk_adder()
+        charge = device.stats.record_tokens
+        with maybe_span(
+            self.tracer, "run-formation", mode=options.run_formation
+        ) as span:
+            for key, record in subtree_keypath_records(
+                root, sort_levels, embedded
+            ):
+                charge(1)
+                add(key, record)
+            runs = former.finish()
+            if span is not None:
+                span.set(runs=len(runs))
+        self.run_lengths.extend(former.run_lengths)
+
+        stream, _passes, _width = merge_to_stream(
+            self.store, runs, embedded_key_of if embedded else fast_path_key,
+            self.fan_in, options=options, tracer=self.tracer,
+            recovery=self.recovery,
+        )
+        writer = self.store.create_writer("run_write")
+        try:
+            count = emit_output_columnar(
+                stream, writer, None,
+                strip_embedded=embedded,
+                names_coded=names_coded,
+                emit_ends=not self.compact,
+                base_level=base_level,
+                levels=self.compact,
+            )
+        except DeviceFault:
+            writer.abandon()
+            raise
+        charge(count)
+        handle = writer.finish()
+        return handle, handle.payload_bytes
+
     def _sort_external(
         self,
         tokens: list[Token],
         base_level: int,
         sort_levels: int | None,
     ) -> tuple[RunHandle, int]:
+        """Key-path external sort over token objects: the scalar kernel's
+        path, and the reference :meth:`_sort_external_records` is
+        parity-tested against."""
         device = self.store.device
         names = self.codec.names
         prepared: Iterable[Token]
@@ -678,11 +756,6 @@ class SubtreeSorter:
 
         if embedded:
             key_of = embedded_key_of
-        elif options.columnar:
-            # Path-only parse into normalized bytes: same ordering as
-            # the decoded tuple key, no tag/attr/text decode (exactly
-            # the baseline's columnar merge keying).
-            key_of = fast_path_key
         else:
 
             def key_of(encoded: bytes) -> tuple:

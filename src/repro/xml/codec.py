@@ -107,7 +107,11 @@ def encode_varint(value: int) -> bytes:
 
 def _write_string(out: bytearray, value: str) -> None:
     encoded = value.encode("utf-8")
-    write_varint(out, len(encoded))
+    size = len(encoded)
+    if size < 0x80:
+        out.append(size)
+    else:
+        write_varint(out, size)
     out += encoded
 
 
@@ -187,11 +191,6 @@ class TokenCodec:
         """Encode many tokens; one bound-method lookup for the batch."""
         encode = self.encode
         return [encode(token) for token in tokens]
-
-    def decode_batch(self, records: Iterable[bytes]) -> list[Token]:
-        """Decode many records; one bound-method lookup for the batch."""
-        decode = self.decode
-        return [decode(record) for record in records]
 
     def _flags(self, token) -> int:
         flags = 0

@@ -16,7 +16,7 @@ eliminated on disk, so consumers are storage-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from ..errors import XMLSyntaxError
 from ..io.device import BlockDevice
@@ -26,7 +26,7 @@ from .compact import CompactionConfig, eliminate_end_tags, restore_end_tags
 from .model import Element
 from .parser import parse_events
 from .tokens import EndTag, StartTag, Text, Token
-from .writer import events_to_string
+from .writer import events_to_string, write_events
 
 
 @dataclass
@@ -221,6 +221,15 @@ class Document:
     ) -> str:
         """Serialize the document back to XML text."""
         return events_to_string(self.iter_events(category), indent=indent)
+
+    def write(
+        self, out: TextIO, indent: str | None = None, category: str = "export"
+    ) -> None:
+        """Stream the document as XML text to the handle ``out``.
+
+        Writes exactly :meth:`to_string`'s text, without building it.
+        """
+        write_events(self.iter_events(category), out, indent=indent)
 
     def free(self) -> None:
         """Release the document's blocks (bookkeeping only)."""

@@ -1,33 +1,53 @@
-"""A hand-written, event-based (SAX-style) XML tokenizer.
+"""An event-based (SAX-style) XML tokenizer driven by compiled regexes.
 
 The paper's scanning loop "can be implemented using a simple event-based XML
 parser (e.g., SAX)" (Section 3.1).  This module is that parser: it walks the
-input text once and yields :class:`~repro.xml.tokens.StartTag`,
+input once and yields :class:`~repro.xml.tokens.StartTag`,
 :class:`~repro.xml.tokens.Text`, and :class:`~repro.xml.tokens.EndTag`
 events in document order, with strict well-formedness checking (tag
-balance, attribute syntax, single root).
+balance, a single root, name characters, quoted non-duplicate attributes,
+entity and character references, no character data outside the root).
+
+One core serves both entry points.  It works over a text buffer that is
+refilled chunk by chunk and keeps only the unconsumed tail, so
+:func:`parse_events` (one string) and
+:func:`~repro.xml.streaming.parse_events_incremental` (a text stream) share
+a single grammar.  Each construct - start tag with its attributes, end
+tag, character data - is recognized by one compiled-regex match; the
+buffer is refilled only when a construct runs past its end.
 
 Supported XML subset: elements, attributes (single- or double-quoted),
 character data with the five predefined entities plus numeric character
-references, CDATA sections, comments, processing instructions, and a
-DOCTYPE prologue (comments/PIs/DOCTYPE are skipped).  Namespace prefixes
-are treated as part of the name, as the paper does.
+references, and CDATA sections.  Comments, processing instructions and a
+DOCTYPE prologue are skipped (internal DTD entity declarations are not
+honoured, so references to them are rejected as unknown entities).
+Namespace prefixes are treated as part of the name, as the paper does.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Callable, Iterator
 
 from ..errors import XMLSyntaxError
 from .tokens import EndTag, StartTag, Text, Token
 
-def _is_name_start(char: str) -> bool:
-    """XML name start characters: letters (any script), '_', ':'."""
-    return char.isalpha() or char in "_:"
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in "_:-."
+_WS = "[ \t\r\n]"
+# ``\w`` is exactly ``str.isalnum()`` plus ``_``; the first character of a
+# name must also be a letter, ``_`` or ``:`` (checked once per new name).
+_NAME = r"[\w:][\w:.-]*"
+_ATTR = rf"{_NAME}{_WS}*={_WS}*(?:\"[^\"]*\"|'[^']*')"
+_START = re.compile(
+    rf"<({_NAME})((?:{_WS}+{_ATTR}(?:{_WS}*{_ATTR})*)?){_WS}*(/?)>"
+)
+_END = re.compile(rf"</({_NAME}){_WS}*>")
+_ATTRS = re.compile(rf"({_NAME}){_WS}*={_WS}*(?:\"([^\"]*)\"|'([^']*)')")
+#: A tag's lexical extent: up to the first ``>`` outside quotes.
+_TAG_EXTENT = re.compile(r"<(?:[^>\"']|\"[^\"]*\"|'[^']*')*>")
+_DOCTYPE = re.compile(r"<!(?:DOCTYPE|doctype)[^\[>]*(?:\[[^\]]*\][^\[>]*)*>")
+_REF = re.compile(r"&([^&;]*)(;?)")
+_CHAR_REF = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
+_NAME_AT = re.compile(_NAME)
 
 _ENTITIES = {
     "amp": "&",
@@ -37,110 +57,259 @@ _ENTITIES = {
     "apos": "'",
 }
 
+#: (opener, closer, error) of the delimited constructs besides tags.
+_SECTIONS = (
+    ("<!--", "-->", "unterminated comment"),
+    ("<![CDATA[", "]]>", "unterminated CDATA section"),
+    ("<?", "?>", "unterminated processing instruction"),
+)
 
-class _Scanner:
-    """Character-level cursor with error reporting."""
 
-    def __init__(self, text: str):
-        self.text = text
+class _Source:
+    """The text buffer: consumed text is dropped at each refill."""
+
+    __slots__ = ("read", "text", "pos", "base", "lines", "eof")
+
+    def __init__(self, read: Callable[[], str]):
+        self.read = read
+        self.text = ""
         self.pos = 0
+        self.base = 0  # input offset of text[0]
+        self.lines = 0  # newlines before text[0]
+        self.eof = False
 
-    def error(self, message: str) -> XMLSyntaxError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return XMLSyntaxError(message, position=self.pos, line=line)
+    def more(self) -> bool:
+        """Drop ``text[:pos]`` and append one chunk; False at end of input."""
+        if self.eof:
+            return False
+        chunk = self.read()
+        if not chunk:
+            self.eof = True
+            return False
+        text, pos = self.text, self.pos
+        self.lines += text.count("\n", 0, pos)
+        self.base += pos
+        self.text = text[pos:] + chunk
+        self.pos = 0
+        return True
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def skip_whitespace(self) -> None:
-        text = self.text
-        pos = self.pos
-        while pos < len(text) and text[pos] in " \t\r\n":
-            pos += 1
-        self.pos = pos
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def read_until(self, terminator: str) -> str:
-        index = self.text.find(terminator, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated construct, missing {terminator!r}")
-        chunk = self.text[self.pos : index]
-        self.pos = index + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
+    def find(self, needle: str) -> int:
+        """Index of ``needle`` at or after ``pos``, reading on as needed;
+        -1 only at the end of input."""
         start = self.pos
-        text = self.text
-        if start >= len(text) or not _is_name_start(text[start]):
-            raise self.error("expected a name")
-        pos = start + 1
-        while pos < len(text) and _is_name_char(text[pos]):
-            pos += 1
-        self.pos = pos
-        return text[start:pos]
+        while True:
+            index = self.text.find(needle, start)
+            if index >= 0:
+                return index
+            start = max(0, len(self.text) - self.pos - len(needle) + 1)
+            if not self.more():
+                return -1
+
+    def match(self, pattern: re.Pattern, tag: bool = False):
+        """Match ``pattern`` at ``pos``, reading on while the construct is
+        cut off by the buffer's end; None if it is complete and malformed
+        (for ``tag``, complete means a ``>`` outside quotes was seen)."""
+        while True:
+            found = pattern.match(self.text, self.pos)
+            if found is not None:
+                return found
+            if tag and _TAG_EXTENT.match(self.text, self.pos) is not None:
+                return None
+            if not self.more():
+                return None
+
+    def error(self, message: str, at: int | None = None) -> XMLSyntaxError:
+        at = self.pos if at is None else at
+        line = self.lines + self.text.count("\n", 0, at) + 1
+        return XMLSyntaxError(message, position=self.base + at, line=line)
 
 
-def _decode_entities(raw: str, scanner: _Scanner) -> str:
-    if "&" not in raw:
-        return raw
+def _decode_refs(raw: str, src: _Source, at: int) -> str:
+    """Replace entity and character references; errors point at ``at``."""
     parts = []
-    pos = 0
-    while True:
-        amp = raw.find("&", pos)
-        if amp < 0:
-            parts.append(raw[pos:])
-            break
-        parts.append(raw[pos:amp])
-        semi = raw.find(";", amp)
-        if semi < 0:
-            raise scanner.error("unterminated entity reference")
-        entity = raw[amp + 1 : semi]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            parts.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            parts.append(chr(int(entity[1:])))
-        elif entity in _ENTITIES:
-            parts.append(_ENTITIES[entity])
+    last = 0
+    for ref in _REF.finditer(raw):
+        name, semi = ref.groups()
+        where = at + ref.start()
+        if not semi:
+            raise src.error("unterminated entity reference", where)
+        if name.startswith("#"):
+            number = _CHAR_REF.fullmatch(name)
+            code = -1
+            if number is not None:
+                code = int(number[1], 16) if number[1] else int(number[2])
+            if not (
+                code in (0x9, 0xA, 0xD)
+                or 0x20 <= code <= 0xD7FF
+                or 0xE000 <= code <= 0xFFFD
+                or 0x10000 <= code <= 0x10FFFF
+            ):
+                raise src.error(f"invalid character reference &{name};", where)
+            value = chr(code)
+        elif name in _ENTITIES:
+            value = _ENTITIES[name]
         else:
-            raise scanner.error(f"unknown entity &{entity};")
-        pos = semi + 1
+            raise src.error(f"unknown entity &{name};", where)
+        parts.append(raw[last : ref.start()])
+        parts.append(value)
+        last = ref.end()
+    parts.append(raw[last:])
     return "".join(parts)
 
 
-def _parse_attributes(scanner: _Scanner) -> tuple[tuple[str, str], ...]:
-    attrs: list[tuple[str, str]] = []
-    seen: set[str] = set()
+def _check_name(name: str, src: _Source, at: int) -> None:
+    if not (name[0].isalpha() or name[0] in "_:"):
+        raise src.error(f"invalid name {name!r}", at)
+
+
+def _malformed_tag(src: _Source) -> XMLSyntaxError:
+    extent = _TAG_EXTENT.match(src.text, src.pos)
+    if extent is None:
+        return src.error("unterminated tag")
+    construct = extent.group()
+    if _NAME_AT.match(construct, 2 if construct[1] == "/" else 1) is None:
+        return src.error("expected a name")
+    if re.search(f"={_WS}*[^\"' \t\r\n]", construct):
+        return src.error("attribute value must be quoted")
+    return src.error(f"malformed tag {construct[:60]!r}")
+
+
+def _skip_markup(src: _Source, in_root: bool) -> str | None:
+    """Consume a comment, CDATA section, PI or DOCTYPE at ``pos``.
+
+    Returns a CDATA section's text, None for the skipped constructs.
+    """
+    start = src.pos
+    for opener, closer, what in _SECTIONS:
+        if src.text.startswith(opener, start):
+            cdata = opener == "<![CDATA["
+            if cdata and not in_root:
+                raise src.error("CDATA outside the root element")
+            src.pos = start + len(opener)
+            end = src.find(closer)
+            if end < 0:
+                raise src.error(what)
+            content = src.text[src.pos : end]
+            src.pos = end + len(closer)
+            return content if cdata else None
+    if src.text.startswith(("<!DOCTYPE", "<!doctype"), start):
+        doctype = src.match(_DOCTYPE)
+        if doctype is None:
+            raise src.error("unterminated DOCTYPE")
+        src.pos = doctype.end()
+        return None
+    raise src.error("expected a name")
+
+
+def tokenize(
+    read: Callable[[], str], strip_whitespace: bool = True
+) -> Iterator[Token]:
+    """The tokenizer core over a chunk reader (``read()`` returns more
+    text, or ``""`` at the end of input)."""
+    src = _Source(read)
+    src.more()
+    text, pos = src.text, 0
+    open_tags: list[str] = []
+    seen_root = False
+    known: set[str] = set()  # names whose first character was checked
+
     while True:
-        scanner.skip_whitespace()
-        ch = scanner.peek()
-        if ch in (">", "/", ""):
-            return tuple(attrs)
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        raw = scanner.read_until(quote)
-        if name in seen:
-            raise scanner.error(f"duplicate attribute {name!r}")
-        seen.add(name)
-        attrs.append((name, _decode_entities(raw, scanner)))
+        if not text.startswith("<", pos):
+            # Character data runs to the next '<' (or the end of input).
+            src.pos = pos
+            end = src.find("<")
+            text, pos = src.text, src.pos
+            if end < 0:
+                end = len(text)
+                if end == pos:
+                    break
+            raw = text[pos:end]
+            content = _decode_refs(raw, src, pos) if "&" in raw else raw
+            if open_tags:
+                if not strip_whitespace or content.strip():
+                    yield Text(content)
+            elif content.strip():
+                raise src.error("text outside the root element", pos)
+            pos = end
+            continue
+
+        if len(text) - pos < 9 and not src.eof:
+            src.pos = pos
+            while len(src.text) - src.pos < 9 and src.more():
+                pass
+            text, pos = src.text, src.pos
+        second = text[pos + 1 : pos + 2]
+        if second == "/":
+            found = _END.match(text, pos)
+            if found is None:
+                src.pos = pos
+                found = src.match(_END, tag=True)
+                if found is None:
+                    raise _malformed_tag(src)
+                text, pos = src.text, src.pos
+            tag = found[1]
+            if not open_tags:
+                raise src.error(f"unmatched end tag </{tag}>", pos)
+            expected = open_tags.pop()
+            if tag != expected:
+                raise src.error(
+                    f"mismatched end tag </{tag}>, expected </{expected}>",
+                    pos,
+                )
+            pos = found.end()
+            yield EndTag(tag)
+        elif second == "!" or second == "?":
+            src.pos = pos
+            content = _skip_markup(src, bool(open_tags))
+            text, pos = src.text, src.pos
+            if content is not None:
+                yield Text(content)
+        else:
+            if seen_root and not open_tags:
+                raise src.error("multiple root elements", pos)
+            found = _START.match(text, pos)
+            if found is None:
+                src.pos = pos
+                found = src.match(_START, tag=True)
+                if found is None:
+                    raise _malformed_tag(src)
+                text, pos = src.text, src.pos
+            tag, attr_text, closed = found.groups()
+            if tag not in known:
+                _check_name(tag, src, pos)
+                known.add(tag)
+            attrs: tuple[tuple[str, str], ...] = ()
+            if attr_text:
+                pairs = []
+                for name, double, single in _ATTRS.findall(attr_text):
+                    if name not in known:
+                        _check_name(name, src, pos)
+                        known.add(name)
+                    value = double or single
+                    if "&" in value:
+                        value = _decode_refs(value, src, pos)
+                    pairs.append((name, value))
+                if len(pairs) > 1 and len({n for n, _ in pairs}) < len(pairs):
+                    seen: set[str] = set()
+                    for name, _ in pairs:
+                        if name in seen:
+                            raise src.error(
+                                f"duplicate attribute {name!r}", pos
+                            )
+                        seen.add(name)
+                attrs = tuple(pairs)
+            seen_root = True
+            pos = found.end()
+            yield StartTag(tag, attrs)
+            if closed:
+                yield EndTag(tag)
+            else:
+                open_tags.append(tag)
+
+    if open_tags:
+        raise src.error(f"unexpected end of input, unclosed <{open_tags[-1]}>")
+    if not seen_root:
+        raise src.error("no root element")
 
 
 def parse_events(
@@ -156,97 +325,5 @@ def parse_events(
     Raises:
         XMLSyntaxError: on any well-formedness violation.
     """
-    scanner = _Scanner(text)
-    open_tags: list[str] = []
-    seen_root = False
-
-    while not scanner.at_end():
-        if scanner.peek() != "<":
-            index = scanner.text.find("<", scanner.pos)
-            if index < 0:
-                raw = scanner.text[scanner.pos :]
-                scanner.pos = len(scanner.text)
-            else:
-                raw = scanner.text[scanner.pos : index]
-                scanner.pos = index
-            content = _decode_entities(raw, scanner)
-            if open_tags:
-                if not strip_whitespace or content.strip():
-                    yield Text(content)
-            elif content.strip():
-                raise scanner.error("text outside the root element")
-            continue
-
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->")
-            continue
-        if scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            content = scanner.read_until("]]>")
-            if not open_tags:
-                raise scanner.error("CDATA outside the root element")
-            yield Text(content)
-            continue
-        if scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>")
-            continue
-        if scanner.startswith("<!DOCTYPE") or scanner.startswith("<!doctype"):
-            _skip_doctype(scanner)
-            continue
-        if scanner.startswith("</"):
-            scanner.advance(2)
-            name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            if not open_tags:
-                raise scanner.error(f"unmatched end tag </{name}>")
-            expected = open_tags.pop()
-            if name != expected:
-                raise scanner.error(
-                    f"mismatched end tag </{name}>, expected </{expected}>"
-                )
-            yield EndTag(name)
-            continue
-
-        # A start tag.
-        scanner.advance(1)
-        if seen_root and not open_tags:
-            raise scanner.error("multiple root elements")
-        name = scanner.read_name()
-        attrs = _parse_attributes(scanner)
-        scanner.skip_whitespace()
-        if scanner.startswith("/>"):
-            scanner.advance(2)
-            seen_root = True
-            yield StartTag(name, attrs)
-            yield EndTag(name)
-            continue
-        scanner.expect(">")
-        seen_root = True
-        open_tags.append(name)
-        yield StartTag(name, attrs)
-
-    if open_tags:
-        raise scanner.error(
-            f"unexpected end of input, unclosed <{open_tags[-1]}>"
-        )
-    if not seen_root:
-        raise scanner.error("no root element")
-
-
-def _skip_doctype(scanner: _Scanner) -> None:
-    # Skip "<!DOCTYPE ... >", honouring one level of [...] internal subset.
-    scanner.advance(len("<!DOCTYPE"))
-    depth = 0
-    while not scanner.at_end():
-        ch = scanner.peek()
-        scanner.advance()
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == ">" and depth <= 0:
-            return
-    raise scanner.error("unterminated DOCTYPE")
+    chunks = iter((text,))
+    return tokenize(lambda: next(chunks, ""), strip_whitespace)

@@ -2,70 +2,23 @@
 
 :func:`parse_events` needs the document as one string; for genuinely
 out-of-core inputs that defeats the purpose of an external-memory sorter.
-:func:`parse_events_incremental` tokenizes from any text stream in fixed
-chunks, holding only the unconsumed tail in memory - so an arbitrarily
-large file flows straight onto the block device via
-:meth:`Document.from_file`.
-
-The implementation delegates each construct to the same grammar as the
-one-shot parser by maintaining a sliding window: before parsing a
-construct, the window is topped up until it provably contains the whole
-construct (a ``>`` for tags, the next ``<`` for character data, the
-closing marker for comments/CDATA/PIs).  Constructs are tiny compared to
-documents, so the window stays near the chunk size.
+:func:`parse_events_incremental` runs the same tokenizer core
+(:func:`repro.xml.parser.tokenize`) over a text stream read in fixed
+chunks.  The core keeps only the unconsumed tail of its buffer, so an
+arbitrarily large file flows straight onto the block device via
+:meth:`Document.from_file` with memory bounded by the chunk size plus the
+largest single construct (one tag, comment, or text run).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import IO, Iterator
 
-from ..errors import XMLSyntaxError
-from .parser import parse_events
-from .tokens import EndTag, StartTag, Text, Token
+from .parser import tokenize
+from .tokens import Token
 
 DEFAULT_CHUNK_CHARS = 64 * 1024
-
-
-class _Window:
-    """A sliding text window over a character stream."""
-
-    def __init__(self, stream: IO[str], chunk_chars: int):
-        self._stream = stream
-        self._chunk = chunk_chars
-        self.text = ""
-        self.eof = False
-        self.consumed = 0  # characters dropped from the front
-
-    def fill(self) -> bool:
-        """Read one more chunk; False at end of stream."""
-        if self.eof:
-            return False
-        chunk = self._stream.read(self._chunk)
-        if not chunk:
-            self.eof = True
-            return False
-        self.text += chunk
-        return True
-
-    def find(self, needle: str, start: int = 0) -> int:
-        """Find ``needle``, filling as needed; -1 only at true EOF."""
-        while True:
-            index = self.text.find(needle, start)
-            if index >= 0:
-                return index
-            # Keep a suffix overlap so needles spanning chunks are found.
-            start = max(0, len(self.text) - len(needle) + 1)
-            if not self.fill():
-                return -1
-
-    def ensure(self, count: int) -> None:
-        """Make at least ``count`` characters available (or hit EOF)."""
-        while len(self.text) < count and self.fill():
-            pass
-
-    def drop(self, count: int) -> None:
-        self.consumed += count
-        self.text = self.text[count:]
 
 
 def parse_events_incremental(
@@ -75,200 +28,6 @@ def parse_events_incremental(
 ) -> Iterator[Token]:
     """Yield Start/Text/End events from a text stream, incrementally.
 
-    Equivalent to ``parse_events(stream.read(), strip_whitespace)`` but
-    with memory bounded by the chunk size plus the largest single
-    construct (one tag, comment, or text run).
+    Equivalent to ``parse_events(stream.read(), strip_whitespace)``.
     """
-    window = _Window(stream, chunk_chars)
-    open_tags: list[str] = []
-    seen_root = False
-
-    while True:
-        window.ensure(1)
-        if not window.text:
-            break
-        if window.text[0] != "<":
-            # Character data: runs to the next '<' (or EOF).
-            index = window.find("<")
-            raw = window.text if index < 0 else window.text[:index]
-            construct = raw
-            window.drop(len(raw))
-            for event in _parse_fragment(
-                f"<x>{construct}</x>", window, strip_whitespace
-            ):
-                if isinstance(event, Text):
-                    if open_tags:
-                        yield event
-                    elif event.text.strip():
-                        raise XMLSyntaxError(
-                            "text outside the root element",
-                            position=window.consumed,
-                        )
-            continue
-
-        construct = _take_construct(window)
-        if construct.startswith("<!--") or construct.startswith("<?"):
-            continue
-        if construct.startswith("<![CDATA["):
-            if not open_tags:
-                raise XMLSyntaxError(
-                    "CDATA outside the root element",
-                    position=window.consumed,
-                )
-            yield Text(construct[len("<![CDATA[") : -len("]]>")])
-            continue
-        if construct.startswith("<!DOCTYPE") or construct.startswith(
-            "<!doctype"
-        ):
-            continue
-        # A start or end tag: parse it via the grammar.
-        if construct.startswith("</"):
-            events = list(
-                _parse_fragment(
-                    f"<{construct[2:-1]}>{construct}", window,
-                    strip_whitespace,
-                )
-            )
-            tag = events[-1].tag
-            if not open_tags:
-                raise XMLSyntaxError(
-                    f"unmatched end tag </{tag}>",
-                    position=window.consumed,
-                )
-            expected = open_tags.pop()
-            if tag != expected:
-                raise XMLSyntaxError(
-                    f"mismatched end tag </{tag}>, expected "
-                    f"</{expected}>",
-                    position=window.consumed,
-                )
-            yield EndTag(tag)
-            continue
-        self_closing = construct.rstrip().endswith("/>")
-        fragment = (
-            construct
-            if self_closing
-            else construct + f"</{_tag_name(construct, window)}>"
-        )
-        events = list(_parse_fragment(fragment, window, strip_whitespace))
-        start = events[0]
-        assert isinstance(start, StartTag)
-        if seen_root and not open_tags:
-            raise XMLSyntaxError(
-                "multiple root elements", position=window.consumed
-            )
-        seen_root = True
-        yield start
-        if self_closing:
-            yield EndTag(start.tag)
-        else:
-            open_tags.append(start.tag)
-
-    if open_tags:
-        raise XMLSyntaxError(
-            f"unexpected end of input, unclosed <{open_tags[-1]}>",
-            position=window.consumed,
-        )
-    if not seen_root:
-        raise XMLSyntaxError("no root element", position=window.consumed)
-
-
-def _take_construct(window: _Window) -> str:
-    """Consume one '<...>' construct (tag, comment, CDATA, PI, DOCTYPE)."""
-    window.ensure(9)
-    text = window.text
-    if text.startswith("<!--"):
-        end = window.find("-->")
-        if end < 0:
-            raise XMLSyntaxError(
-                "unterminated comment", position=window.consumed
-            )
-        construct = window.text[: end + 3]
-    elif text.startswith("<![CDATA["):
-        end = window.find("]]>")
-        if end < 0:
-            raise XMLSyntaxError(
-                "unterminated CDATA section", position=window.consumed
-            )
-        construct = window.text[: end + 3]
-    elif text.startswith("<?"):
-        end = window.find("?>")
-        if end < 0:
-            raise XMLSyntaxError(
-                "unterminated processing instruction",
-                position=window.consumed,
-            )
-        construct = window.text[: end + 2]
-    elif text.startswith("<!DOCTYPE") or text.startswith("<!doctype"):
-        construct = _take_doctype(window)
-    else:
-        end = _find_tag_end(window)
-        construct = window.text[: end + 1]
-    window.drop(len(construct))
-    return construct
-
-
-def _find_tag_end(window: _Window) -> int:
-    """Index of the '>' closing a tag, respecting quoted attributes."""
-    position = 1
-    quote: str | None = None
-    while True:
-        window.ensure(position + 1)
-        if position >= len(window.text):
-            raise XMLSyntaxError(
-                "unterminated tag", position=window.consumed
-            )
-        char = window.text[position]
-        if quote is not None:
-            if char == quote:
-                quote = None
-        elif char in ("'", '"'):
-            quote = char
-        elif char == ">":
-            return position
-        position += 1
-
-
-def _take_doctype(window: _Window) -> str:
-    position = len("<!DOCTYPE")
-    depth = 0
-    while True:
-        window.ensure(position + 1)
-        if position >= len(window.text):
-            raise XMLSyntaxError(
-                "unterminated DOCTYPE", position=window.consumed
-            )
-        char = window.text[position]
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == ">" and depth <= 0:
-            return window.text[: position + 1]
-        position += 1
-
-
-def _tag_name(construct: str, window: _Window) -> str:
-    name = ""
-    for char in construct[1:]:
-        if char.isalnum() or char in "_:-.":
-            name += char
-        else:
-            break
-    if not name:
-        raise XMLSyntaxError(
-            "expected a name", position=window.consumed
-        )
-    return name
-
-
-def _parse_fragment(
-    fragment: str, window: _Window, strip_whitespace: bool
-) -> list[Token]:
-    """Run the one-shot grammar over a tiny synthesized fragment."""
-    try:
-        return list(parse_events(fragment, strip_whitespace))
-    except XMLSyntaxError as error:
-        raise XMLSyntaxError(
-            str(error).split(" (line")[0], position=window.consumed
-        ) from None
+    return tokenize(partial(stream.read, chunk_chars), strip_whitespace)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from io import StringIO
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from ..errors import XMLSyntaxError
 from .model import Element
@@ -26,87 +26,89 @@ def escape_attr(value: str) -> str:
     )
 
 
-def events_to_string(
-    events: Iterable[Token], indent: str | None = None
-) -> str:
-    """Serialize a Start/Text/End event stream to XML text.
+def write_events(
+    events: Iterable[Token], out: TextIO, indent: str | None = None
+) -> None:
+    """Serialize a Start/Text/End event stream to the text handle ``out``.
+
+    Pieces are handed to ``out`` in batches as the stream is consumed, so
+    a document larger than memory serializes to a file without ever
+    being held whole.
 
     Args:
         events: the stream; must be balanced.
+        out: any object with a ``write(str)`` method.
         indent: if given (e.g. ``"  "``), pretty-print with one element per
             line; text-bearing elements stay on one line.
     """
-    out = StringIO()
+    parts: list[str] = []
+    put = parts.append
+    newline = "\n" if indent is not None else ""
     depth = 0
     pending: StartTag | None = None
     pending_text: list[str] = []
 
-    def flush_pending(self_closing_ok: bool) -> None:
-        nonlocal pending
-        if pending is None:
-            return
-        _write_start(out, pending, depth - 1, indent)
-        pending = None
+    def start(tag: StartTag, close: str) -> None:
+        if indent is not None:
+            put(indent * (depth - 1))
+        put(f"<{tag.tag}")
+        for name, value in tag.attrs:
+            put(f' {name}="{escape_attr(value)}"')
+        put(close)
 
     for event in events:
         if isinstance(event, StartTag):
-            flush_pending(False)
+            if pending is not None:
+                start(pending, ">" + newline)
             if pending_text:
-                out.write(escape_text("".join(pending_text)))
+                put(escape_text("".join(pending_text)))
                 pending_text.clear()
             depth += 1
             pending = event
+            if len(parts) >= _BATCH:
+                out.write("".join(parts))
+                parts.clear()
         elif isinstance(event, Text):
             if pending is not None:
-                _write_start(out, pending, depth - 1, indent, newline=False)
+                start(pending, ">")
                 pending = None
             pending_text.append(event.text)
         elif isinstance(event, EndTag):
             if pending is not None:
                 # Empty element: self-close.
-                _write_start(
-                    out, pending, depth - 1, indent, self_closing=True
-                )
+                start(pending, "/>" + newline)
                 pending = None
-                depth -= 1
-                continue
-            text = "".join(pending_text)
-            pending_text.clear()
-            if text:
-                out.write(escape_text(text))
-                out.write(f"</{event.tag}>")
-                if indent is not None:
-                    out.write("\n")
             else:
-                if indent is not None:
-                    out.write(indent * (depth - 1))
-                out.write(f"</{event.tag}>")
-                if indent is not None:
-                    out.write("\n")
+                text = "".join(pending_text)
+                pending_text.clear()
+                if text:
+                    put(escape_text(text))
+                elif indent is not None:
+                    put(indent * (depth - 1))
+                put(f"</{event.tag}>{newline}")
             depth -= 1
         else:
             raise XMLSyntaxError(f"cannot serialize token {event!r}")
     if depth != 0 or pending is not None:
         raise XMLSyntaxError("unbalanced event stream")
+    out.write("".join(parts))
+
+
+#: Pieces buffered between writes to the output handle.
+_BATCH = 4096
+
+
+def events_to_string(
+    events: Iterable[Token], indent: str | None = None
+) -> str:
+    """Serialize a Start/Text/End event stream to XML text.
+
+    Same arguments as :func:`write_events`; the text ends with a newline
+    exactly when ``indent`` is given.
+    """
+    out = StringIO()
+    write_events(events, out, indent)
     return out.getvalue().rstrip("\n") + ("\n" if indent is not None else "")
-
-
-def _write_start(
-    out: StringIO,
-    tag: StartTag,
-    depth: int,
-    indent: str | None,
-    self_closing: bool = False,
-    newline: bool = True,
-) -> None:
-    if indent is not None:
-        out.write(indent * depth)
-    out.write(f"<{tag.tag}")
-    for name, value in tag.attrs:
-        out.write(f' {name}="{escape_attr(value)}"')
-    out.write("/>" if self_closing else ">")
-    if indent is not None and (self_closing or newline):
-        out.write("\n")
 
 
 def element_to_string(element: Element, indent: str | None = None) -> str:

@@ -117,6 +117,10 @@ class TestErrors:
             "< a/>",
             "",
             "<a ='v'/>",
+            "<a>&#xZZ;</a>",
+            "<a>&#;</a>",
+            "<a>&#-5;</a>",
+            "<a>&#99999999;</a>",
         ],
     )
     def test_malformed_rejected(self, bad):

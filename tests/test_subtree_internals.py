@@ -465,3 +465,169 @@ def test_internal_and_external_subtree_sorts_agree():
     assert internal_result.internal
     assert not external_result.internal
     assert internal_tokens == external_tokens
+
+
+def external_subtree_tokens(subtree_evaluated, seed=5):
+    """Plain annotated tokens of a subtree far larger than the sorters'
+    memory below: wide, three levels deep, with texts (some split around
+    a child), duplicate and missing keys, and RunPointer children at two
+    levels.  ``subtree_evaluated`` puts keys on end tags, as NEXSORT's
+    scan does for such specs."""
+    rng = random.Random(seed)
+    pos = iter(range(1, 10**6))
+
+    def atom():
+        roll = rng.randrange(5)
+        if roll == 0:
+            return MISSING_KEY
+        if roll < 3:
+            return number_key(rng.randrange(12))
+        return string_key(f"k{rng.randrange(12)}")
+
+    def pointer():
+        return [
+            RunPointer(
+                run_id=rng.randrange(100, 200), key=atom(), pos=next(pos),
+                element_count=rng.randrange(1, 9),
+                payload_bytes=rng.randrange(20, 400),
+            )
+        ]
+
+    def element(tag, key, children=(), texts=()):
+        p = next(pos)
+        attrs = (("n", f"v{rng.randrange(50)}"),)
+        if subtree_evaluated:
+            out = [StartTag(tag, attrs, pos=p)]
+            end = EndTag(tag, key=key, pos=p)
+        else:
+            out = [StartTag(tag, attrs, key=key, pos=p)]
+            end = EndTag(tag, pos=p)
+        if texts:
+            out.append(Text(texts[0]))
+        for index, child in enumerate(children):
+            out.extend(child)
+            if index == 0 and len(texts) > 1:
+                out.append(Text(texts[1]))
+        out.append(end)
+        return out
+
+    children = []
+    for i in range(90):
+        if rng.random() < 0.1:
+            children.append(pointer())
+            continue
+        grandchildren = [
+            pointer() if rng.random() < 0.2
+            else element("g", atom(), texts=(f"g{i}",))
+            for _ in range(rng.randrange(3))
+        ]
+        texts = [f"text {i}", "after"][: rng.randrange(3)]
+        children.append(element(f"c{i % 4}", atom(), grandchildren, texts))
+    root = element("r", string_key("root"), children, ("root text",))
+    if not subtree_evaluated:
+        # The root's key never matters inside its own sort.
+        root[0] = StartTag(root[0].tag, root[0].attrs, key=number_key(0),
+                           pos=root[0].pos)
+    return root
+
+
+EXTERNAL_GRID = [
+    (compact, names, embedded, sort_levels, subtree_evaluated, formation,
+     compress)
+    for compact in (False, True)
+    for names in (False, True)
+    for embedded in (False, True)
+    for sort_levels in (None, 1, 2)
+    for subtree_evaluated in (False, True)
+    for formation in ("load-sort", "replacement-selection")
+    for compress in (None, "container")
+    # End-tag elimination needs start-computable keys.
+    if not (compact and subtree_evaluated)
+    # A compressed store configured for embedded keys peels a key frame
+    # off every run record, and a dictionary-coded end-tag record is too
+    # short to carry one: both paths reject this cell alike.
+    and not (names and not compact and embedded and compress)
+]
+
+
+class TestExternalSubtreeByteParity:
+    """The columnar external subtree sort (byte splicing) against the
+    token path (``sort_tokens`` -> ``_sort_external``), bit for bit: run
+    contents, the result summary, every counter, formation run lengths
+    and the trace."""
+
+    @staticmethod
+    def run(tokens, compact, names, options, sort_levels, fused):
+        from io import StringIO
+
+        from repro.io.compress import CompressionConfig
+        from repro.obs import Tracer
+        from repro.obs.sinks import write_jsonl
+
+        codec = TokenCodec(NameDictionary() if names else None)
+        records = [codec.encode(token) for token in tokens]
+        device = BlockDevice(block_size=256)
+        store = RunStore(device)
+        if options.compress is not None:
+            store.compression = CompressionConfig(
+                codec=options.compress, embedded_keys=options.embedded_keys,
+            )
+        tracer = Tracer(device.stats)
+        sorter = SubtreeSorter(
+            store, codec, compact, capacity_bytes=600, fan_in=3,
+            options=options, tracer=tracer,
+        )
+        size = sum(len(record) for record in records)
+        with tracer.span("subtree-sort"):
+            if fused:
+                result = sorter.sort_records(records, size, 2, sort_levels)
+            else:
+                result = sorter.sort_tokens(
+                    [codec.decode(record) for record in records], size, 2,
+                    sort_levels,
+                )
+        trace = StringIO()
+        write_jsonl(tracer.finish(), trace)
+        return (
+            list(store.open_reader(result.run)),
+            result,
+            device.stats.snapshot().counter_totals(),
+            sorter.run_lengths,
+            trace.getvalue(),
+        )
+
+    @pytest.mark.parametrize(
+        "compact,names,embedded,sort_levels,subtree_evaluated,formation,"
+        "compress",
+        EXTERNAL_GRID,
+    )
+    def test_byte_path_matches_token_path(
+        self, compact, names, embedded, sort_levels, subtree_evaluated,
+        formation, compress,
+    ):
+        plain = external_subtree_tokens(subtree_evaluated)
+        tokens = compact_subtree_tokens(plain) if compact else plain
+        options = MergeOptions(
+            kernel="columnar", embedded_keys=embedded,
+            run_formation=formation, compress=compress,
+        )
+        fused = self.run(tokens, compact, names, options, sort_levels, True)
+        token = self.run(tokens, compact, names, options, sort_levels, False)
+        scalar = self.run(
+            tokens, compact, names,
+            MergeOptions(
+                kernel="scalar", embedded_keys=embedded,
+                run_formation=formation, compress=compress,
+            ),
+            sort_levels, False,
+        )
+        assert not fused[1].internal
+        if formation == "load-sort":
+            assert len(fused[3]) > 3  # several formation runs: real merges
+        assert any(record[0] == 4 for record in fused[0])  # pointers
+        for reference in (token, scalar):
+            assert fused[0] == reference[0]  # run bytes
+            assert fused[1] == reference[1]  # run handle and summary
+            assert fused[2] == reference[2]  # every counter
+            assert fused[3] == reference[3]  # formation run lengths
+            assert fused[4] == reference[4]  # trace

@@ -66,3 +66,43 @@ class TestPrettyOutput:
             [StartTag("a"), Text("x"), Text("y"), EndTag("a")]
         )
         assert text == "<a>xy</a>"
+
+
+class TestStreamingWrite:
+    """``write_events`` streams exactly what ``events_to_string`` builds."""
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    @pytest.mark.parametrize("indent", [None, "  "])
+    def test_same_text_in_several_writes(self, indent):
+        from repro.xml.writer import write_events
+
+        children = [
+            Element("c", {"name": f"n{i}"}, f"t&{i}" if i % 3 else "", [])
+            for i in range(1500)
+        ]
+        tree = Element("r", {"a": "<v>"}, "", children)
+        out = self.Recorder()
+        write_events(tree.to_events(), out, indent=indent)
+        assert len(out.writes) > 1  # streamed, not built whole
+        assert "".join(out.writes) == events_to_string(
+            tree.to_events(), indent=indent
+        )
+
+    def test_document_write_matches_to_string(self, store, tmp_path):
+        from .conftest import random_tree
+        from repro.cli import _emit
+        from repro.xml import Document
+
+        tree = random_tree(5, depth=3, max_fanout=6, text_leaves=True)
+        document = Document.from_element(store, tree)
+        path = tmp_path / "out.xml"
+        _emit(document, str(path))
+        assert path.read_text(encoding="utf-8") == document.to_string(
+            indent="  "
+        )

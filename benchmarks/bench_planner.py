@@ -5,12 +5,12 @@ best measured configuration):
 
 1. **Live sweep** - a small Figure-5-shaped document is profiled the
    way the CLI would, the planner ranks a candidate grid over the
-   algorithm/formation/kernel/embedded-keys/cache axes, and every
+   algorithm/formation/merge-kernel/embedded-keys/cache axes, and every
    candidate is then actually run through the engine
    (:func:`repro.bench.run_config`).  The planner's first pick must
    measure within tolerance of the sweep's fastest row.
-2. **Recorded sweeps** - the five recorded benchmark grids
-   (bufferpool, runformation, kernel, striping, paper-scale fast tier)
+2. **Recorded sweeps** - the four recorded benchmark grids
+   (bufferpool, runformation, striping, paper-scale fast tier)
    are replayed from their ``BENCH_*.json`` files: the planner ranks
    exactly the configs each sweep measured and its pick is compared
    against the recorded optimum.  This is the regression surface CI's
@@ -165,34 +165,6 @@ def _recorded_sweeps():
             sweeps.append(
                 (f"runformation/{workload}", planner, configs, measured)
             )
-
-    data = _recorded("kernel")
-    if data:
-        rows = [
-            r for r in data["rows"] if r["workload"] == "fig5-1e5"
-        ]
-        if rows:
-            element_bytes = 65536 * 96 / rows[0]["element_count"]
-            profile = DocumentProfile.from_fanouts(
-                [11, 11, 11, 75], block_size=65536,
-                element_bytes=element_bytes,
-            )
-            planner = Planner(
-                profile, memory_blocks=48, block_size=65536
-            )
-            configs = {
-                (r["algorithm"], r["kernel"]): PlanConfig(
-                    algorithm=r["algorithm"],
-                    memory_blocks=48,
-                    kernel=r["kernel"],
-                )
-                for r in rows
-            }
-            measured = {
-                (r["algorithm"], r["kernel"]): r["simulated_seconds"]
-                for r in rows
-            }
-            sweeps.append(("kernel", planner, configs, measured))
 
     data = _recorded("striping")
     if data:

@@ -5,7 +5,7 @@ ROADMAP item 2: the advisor answers the paper's Figure-7 question
 *given this workload sketch and these resources, how should every knob
 be set?*  It enumerates candidate :class:`PlanConfig` settings over the
 grid the engine actually exposes (algorithm, threshold, cache blocks,
-run formation, merge kernel, embedded keys, sort kernel, disks,
+run formation, merge kernel, embedded keys, compression, disks,
 prefetch), prices each with the shared :class:`~repro.io.stats.CostModel`
 using :func:`~repro.analysis.bounds.iterated_merge_depth` (the
 Arge-Thorup merge-depth oracle) as the pass-count oracle, and returns a
@@ -40,12 +40,7 @@ from ..errors import ReproError
 from ..io.budget import MINIMUM_NEXSORT_BLOCKS
 from ..io.compress import CODEC_NAMES
 from ..io.stats import CostModel
-from ..merge.engine import (
-    MERGE_KERNELS,
-    MergeOptions,
-    RUN_FORMATION_MODES,
-    SORT_KERNELS,
-)
+from ..merge.engine import MERGE_KERNELS, MergeOptions, RUN_FORMATION_MODES
 from .advisor import DocumentProfile
 from .bounds import iterated_merge_depth
 
@@ -98,7 +93,6 @@ class PlanConfig:
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
     embedded_keys: bool = False
-    kernel: str = "scalar"
     disks: int = 1
     prefetch_depth: int = 0
     prefetch_policy: str = "forecast"
@@ -115,7 +109,6 @@ class PlanConfig:
             run_formation=self.run_formation,
             merge_kernel=self.merge_kernel,
             embedded_keys=self.embedded_keys,
-            kernel=self.kernel,
             compress=self.compress,
             compress_capacity=self.compress_capacity,
         )
@@ -127,8 +120,6 @@ class PlanConfig:
             raise ReproError(f"unknown run formation {self.run_formation!r}")
         if self.merge_kernel not in MERGE_KERNELS:
             raise ReproError(f"unknown merge kernel {self.merge_kernel!r}")
-        if self.kernel not in SORT_KERNELS:
-            raise ReproError(f"unknown sort kernel {self.kernel!r}")
         if self.cache_blocks < 0 or self.working_blocks < 2:
             raise ReproError(
                 f"grant of {self.memory_blocks} blocks with "
@@ -188,8 +179,8 @@ class Plan:
         lines = [
             f"plan: {c.algorithm} memory={c.memory_blocks} "
             f"cache={c.cache_blocks} threshold={c.threshold_blocks}B "
-            f"formation={c.run_formation} kernel={c.merge_kernel}/"
-            f"{c.kernel} embedded_keys={c.embedded_keys} "
+            f"formation={c.run_formation} kernel={c.merge_kernel} "
+            f"embedded_keys={c.embedded_keys} "
             f"compress={c.compress or 'off'}"
             f"{'+capacity' if c.compress_capacity else ''} "
             f"disks={c.disks} prefetch={c.prefetch_depth}/"
@@ -539,8 +530,7 @@ class Planner:
         seen: set[PlanConfig] = set()
         for (
             algorithm, cache, threshold, flat, formation,
-            merge_kernel, embedded, kernel, disks,
-            compress, compress_capacity,
+            merge_kernel, embedded, disks, compress, compress_capacity,
         ) in itertools.product(
             axis("algorithm", ["nexsort", "merge_sort"]),
             axis("cache_blocks", caches),
@@ -549,7 +539,6 @@ class Planner:
             axis("run_formation", sorted(RUN_FORMATION_MODES)),
             axis("merge_kernel", sorted(MERGE_KERNELS)),
             axis("embedded_keys", [False, True]),
-            axis("kernel", sorted(SORT_KERNELS)),
             axis("disks", disk_values),
             axis("compress", [None, "container"]),
             axis("compress_capacity", [False, True]),
@@ -575,7 +564,6 @@ class Planner:
                 run_formation=formation,
                 merge_kernel=merge_kernel,
                 embedded_keys=embedded,
-                kernel=kernel,
                 disks=disks,
                 prefetch_depth=prefetch,
                 prefetch_policy=fixed.get("prefetch_policy", "forecast"),
@@ -595,9 +583,8 @@ class Planner:
     def _tiebreak(self, config: PlanConfig) -> tuple:
         """Deterministic order among cost ties.
 
-        Prefer the columnar kernel (identical counters, faster wall
-        clock), then the fewest knobs moved off the paper's defaults,
-        then a stable lexicographic key.
+        Prefer the fewest knobs moved off the paper's defaults, then a
+        stable lexicographic key.
         """
         defaults = PlanConfig(
             memory_blocks=config.memory_blocks,
@@ -613,11 +600,7 @@ class Planner:
             )
             if getattr(config, name) != getattr(defaults, name)
         )
-        return (
-            0 if config.kernel == "columnar" else 1,
-            moved,
-            repr(config),
-        )
+        return moved, repr(config)
 
     def rank(
         self, configs: list[PlanConfig]
@@ -708,10 +691,6 @@ class Planner:
             lines.append(
                 "embedded keys rejected: run-record inflation would "
                 "cost more I/O than decoding saves"
-            )
-        if best.kernel == "columnar":
-            lines.append(
-                "columnar kernel: identical counters, faster wall clock"
             )
         if best.compress:
             saved = 1.0 - 1.0 / PLANNED_COMPRESSION_RATIO

@@ -9,12 +9,11 @@ this package it serves two roles:
   any correct sort must produce exactly this tree; and
 * the in-memory kernel NEXSORT uses when a popped subtree fits in memory.
 
-Both entry points accept ``kernel="columnar"``: every eligible child list
-is gathered into one batched stable argsort over engine-normalized key
-bytes (:func:`repro.core.columnar.argsort_groups`) instead of one
-``list.sort`` per list.  The resulting tree is identical - normalized keys
-are order- and equality-faithful and the batched argsort is stable, so
-ties keep document order exactly like the scalar sort.
+Every eligible child list is gathered into one batched stable argsort over
+engine-normalized key bytes (:func:`repro.core.columnar.argsort_groups`)
+instead of one ``list.sort`` per list.  Normalized keys are order- and
+equality-faithful and the batched argsort is stable, so ties keep document
+order.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from ..keys import SortSpec
 from ..xml.model import Element
 
 
-def _sort_groups_columnar(
-    groups: list[list[Element]], spec: SortSpec
-) -> None:
+def _sort_groups(groups: list[list[Element]], spec: SortSpec) -> None:
     """Batch-sort many child lists in place (stable, order-identical)."""
     from ..core.columnar import argsort_groups, normalized_atom_bytes
 
@@ -53,7 +50,6 @@ def sort_element(
     element: Element,
     spec: SortSpec,
     depth_limit: int | None = None,
-    kernel: str = "scalar",
 ) -> Element:
     """Return a new, fully sorted copy of ``element``.
 
@@ -78,19 +74,15 @@ def sort_element(
         order.append((node, level))
         for child in node.children:
             stack.append((child, level + 1))
-    columnar = kernel == "columnar"
     groups: list[list[Element]] = []
     for node, level in reversed(order):
         copy = copies[id(node)]
         copy.children = [copies[id(child)] for child in node.children]
-        if depth_limit is None or level <= depth_limit:
-            if columnar:
-                if len(copy.children) > 1:
-                    groups.append(copy.children)
-            else:
-                copy.children.sort(key=spec.key_of_element)
-    if groups:
-        _sort_groups_columnar(groups, spec)
+        if (
+            depth_limit is None or level <= depth_limit
+        ) and len(copy.children) > 1:
+            groups.append(copy.children)
+    _sort_groups(groups, spec)
     return copies[id(element)]
 
 
@@ -98,7 +90,6 @@ def sort_element_in_place(
     element: Element,
     spec: SortSpec,
     depth_limit: int | None = None,
-    kernel: str = "scalar",
 ) -> None:
     """Sort ``element``'s subtree in place (pointer reordering only)."""
     order: list[tuple[Element, int]] = []
@@ -108,17 +99,13 @@ def sort_element_in_place(
         order.append((node, level))
         for child in node.children:
             stack.append((child, level + 1))
-    columnar = kernel == "columnar"
-    groups: list[list[Element]] = []
-    for node, level in reversed(order):
-        if depth_limit is None or level <= depth_limit:
-            if columnar:
-                if len(node.children) > 1:
-                    groups.append(node.children)
-            else:
-                node.children.sort(key=spec.key_of_element)
-    if groups:
-        _sort_groups_columnar(groups, spec)
+    groups = [
+        node.children
+        for node, level in order
+        if (depth_limit is None or level <= depth_limit)
+        and len(node.children) > 1
+    ]
+    _sort_groups(groups, spec)
 
 
 def comparison_count(element: Element) -> int:

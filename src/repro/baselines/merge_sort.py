@@ -26,31 +26,22 @@ from ..io.budget import MemoryBudget
 from ..io.bufferpool import BufferPool
 from ..io.compress import CompressionConfig
 from ..io.stats import StatsSnapshot
-from ..keys import KeyEvaluator, SortSpec
+from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import (
     DEFAULT_MERGE_OPTIONS,
     MergeOptions,
     RunFormer,
     embedded_key_of,
-    normalized_path_key,
-    strip_embedded_key,
 )
-from ..xml.codec import TokenCodec
 from ..xml.document import Document
-from .keypath import (
-    decode_record,
-    encode_record,
-    records_from_annotated_events,
-    tokens_from_sorted_records,
-)
 from .merging import merge_to_stream
 
 #: Memory blocks not available for run formation: one block each for the
 #: input scan buffer and the run output buffer.
 _RESERVED_BLOCKS = 2
 
-#: Records per grouped writer call on the fused columnar output path.
+#: Records per grouped writer call on the output path.
 _EMIT_CHUNK = 1024
 
 
@@ -224,31 +215,11 @@ class ExternalMergeSorter:
             with maybe_span(
                 tracer, "run-formation", mode=options.run_formation
             ) as span:
-                # Columnar kernel: fused scan - tokenize, key-evaluate,
-                # and encode by byte splicing in one loop, feeding the
-                # former normalized bytes keys (order-faithful, so run
-                # contents match the scalar tuple keys record for
-                # record).  Falls back to the scalar pipeline for
-                # storage it does not cover (compacted documents).
-                fused = options.columnar and form_runs_columnar(
-                    document, self.spec, former, device
-                )
-                if not fused:
-                    evaluator = KeyEvaluator(self.spec)
-                    annotated = evaluator.annotate(
-                        document.iter_events("input_scan")
-                    )
-                    records = records_from_annotated_events(annotated)
-                    for record in records:
-                        encoded = encode_record(record, names)
-                        sort_key = record.sort_key()
-                        key = (
-                            normalized_path_key(sort_key)
-                            if embedded
-                            else sort_key
-                        )
-                        device.stats.record_tokens(1)
-                        former.add(key, encoded)
+                # Fused scan: tokenize, key-evaluate, and encode by byte
+                # splicing in one loop, feeding the former normalized
+                # bytes keys.  It covers every storage dialect and every
+                # start-computable spec, the only kind this sorter takes.
+                form_runs_columnar(document, self.spec, former, device)
                 initial_runs = former.finish()
                 if span is not None:
                     span.set(runs=len(initial_runs))
@@ -259,17 +230,10 @@ class ExternalMergeSorter:
                 )
                 report.max_run_length = max(former.run_lengths)
 
-            # Merge passes, streaming the final merge into the decoder.
-            if embedded:
-                key_of = embedded_key_of
-            elif options.columnar:
-                # Path-only parse into normalized bytes: same ordering
-                # as the decoded tuple key, no tag/attr/text decode.
-                key_of = fast_path_key
-            else:
-
-                def key_of(encoded: bytes) -> tuple:
-                    return decode_record(encoded, names).sort_key()
+            # Merge passes, streaming the final merge into the output.
+            # Without embedded keys, a path-only parse into normalized
+            # bytes: no tag/attr/text decode.
+            key_of = embedded_key_of if embedded else fast_path_key
 
             stream, passes, width = merge_to_stream(
                 store, initial_runs, key_of, fan_in, options=options,
@@ -285,41 +249,24 @@ class ExternalMergeSorter:
                 document.compaction is not None
                 and document.compaction.eliminate_end_tags
             )
-            codec = TokenCodec(names)
             with maybe_span(
                 tracer, "output-emit", final_merge_width=width
             ):
                 writer = store.create_writer("output")
-                if options.columnar:
-                    # Fused output: records back to stored tokens by byte
-                    # splicing (splice == re-encode in either name
-                    # dialect, with or without end-tag elimination).
-                    emit_output_columnar(
-                        stream, writer, device,
-                        strip_embedded=embedded,
-                        chunk_records=(
-                            _EMIT_CHUNK
-                            if store.pool is None and recovery is None
-                            else 0
-                        ),
-                        names_coded=names is not None,
-                        emit_ends=emit_ends,
-                    )
-                else:
-                    if embedded:
-                        decoded = (
-                            decode_record(strip_embedded_key(record), names)
-                            for record in stream
-                        )
-                    else:
-                        decoded = (
-                            decode_record(record, names) for record in stream
-                        )
-                    for token in tokens_from_sorted_records(
-                        decoded, emit_end_tags=emit_ends
-                    ):
-                        writer.write_record(codec.encode(token))
-                        device.stats.record_tokens(1)
+                # Records back to stored tokens by byte splicing (splice
+                # == re-encode in either name dialect, with or without
+                # end-tag elimination).
+                emit_output_columnar(
+                    stream, writer, device,
+                    strip_embedded=embedded,
+                    chunk_records=(
+                        _EMIT_CHUNK
+                        if store.pool is None and recovery is None
+                        else 0
+                    ),
+                    names_coded=names is not None,
+                    emit_ends=emit_ends,
+                )
                 handle = writer.finish()
 
                 # Flush the pool before the snapshot so deferred

@@ -22,6 +22,11 @@ Two merge kernels are available (:class:`~repro.merge.engine.MergeOptions`):
 With ``options.embedded_keys`` the records carry a byte-comparable
 normalized key prefix; ``key_of`` then never decodes a record during a
 merge pass, it just slices bytes.
+
+Either kernel pulls records a buffered block at a time and computes
+their keys in one batch (or serves them from the run's key sidecar);
+block loads still fire at the record a one-at-a-time reader would issue
+them, so every I/O counter is unchanged by the batching.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from ..merge.engine import (
     sort_with_accounting,
 )
 
-#: Records per grouped writer call on the columnar merge path.
+#: Records per grouped writer call.
 _WRITE_CHUNK = 1024
 
 
@@ -69,13 +74,14 @@ def merge_pass(
     """Stream the records of ``runs`` merged into one sorted sequence.
 
     The caller guarantees the fan-in fits its memory budget.  Consumed runs
-    are freed as they drain.  With ``keyed`` (columnar internals only) the
-    stream yields ``(normalized key, record)`` pairs so the consumer can
-    capture the output run's key sidecar without re-evaluating keys.
+    are freed as they drain.  With ``keyed`` the stream yields
+    ``(normalized key, record)`` pairs so the consumer can capture the
+    output run's key sidecar without re-evaluating keys.
     """
-    if options is not None and options.loser_tree:
+    options = options or DEFAULT_MERGE_OPTIONS
+    if options.loser_tree:
         return _merge_pass_loser_tree(
-            store, runs, key_of, read_category, options, keyed
+            store, runs, key_of, read_category, keyed
         )
     return _merge_pass_heap(
         store, runs, key_of, read_category, options, keyed
@@ -87,17 +93,16 @@ def _merge_pass_heap(
     runs: list[RunHandle],
     key_of: Callable[[bytes], object],
     read_category: str,
-    options: MergeOptions | None = None,
+    options: MergeOptions,
     keyed: bool = False,
 ) -> Iterator[bytes]:
     if not runs:
         return
     device = store.device
-    columnar = options is not None and options.columnar
     comparisons_per_record = max(1, ceil(log2(len(runs)))) if len(
         runs
     ) > 1 else 0
-    if columnar and len(runs) > 1 and have_numpy():
+    if len(runs) > 1 and have_numpy():
         # Vectorized replay: when every input run carries a key sidecar,
         # the merged order is one stable argsort of the concatenated
         # sidecars (a heap merge with (key, run-index) tie-break IS the
@@ -119,55 +124,30 @@ def _merge_pass_heap(
         store.open_reader(run, category=read_category) for run in runs
     ]
     heap: list[tuple[object, int, bytes]] = []
-    if columnar:
-        # Columnar kernel: drain each reader's buffered block in one
-        # batched parse and compute its keys in one batch-kernel call
-        # (or serve them straight from the run's sidecar when present).
-        # Block loads still happen at the same pull index a scalar
-        # reader would issue them, so I/O counters are untouched.
-        batch_keys = batch_keys_for(key_of)
-        pulls = [
-            keyed_puller(
-                reader, batch_keys, run_sidecar(store, run, key_of)
-            )
-            for run, reader in zip(runs, readers)
-        ]
-        for index, pull in enumerate(pulls):
-            entry = pull()
-            if entry is not None:
-                heap.append((entry[0], index, entry[1]))
-        heapq.heapify(heap)
-        stats = device.stats
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        while heap:
-            key, index, record = heappop(heap)
-            if comparisons_per_record:
-                stats.record_merge_comparisons(comparisons_per_record)
-            yield (key, record) if keyed else record
-            entry = pulls[index]()
-            if entry is not None:
-                heappush(heap, (entry[0], index, entry[1]))
-            else:
-                store.free(runs[index])
-        device.stats.record_tokens(sum(run.record_count for run in runs))
-        return
-    for index, reader in enumerate(readers):
-        record = reader.read_record()
-        if record is not None:
-            heap.append((key_of(record), index, record))
+    batch_keys = batch_keys_for(key_of)
+    pulls = [
+        keyed_puller(reader, batch_keys, run_sidecar(store, run, key_of))
+        for run, reader in zip(runs, readers)
+    ]
+    for index, pull in enumerate(pulls):
+        entry = pull()
+        if entry is not None:
+            heap.append((entry[0], index, entry[1]))
     heapq.heapify(heap)
+    stats = device.stats
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     while heap:
-        key, index, record = heapq.heappop(heap)
+        key, index, record = heappop(heap)
         if comparisons_per_record:
-            device.stats.record_merge_comparisons(comparisons_per_record)
-        yield record
-        nxt = readers[index].read_record()
-        if nxt is not None:
-            heapq.heappush(heap, (key_of(nxt), index, nxt))
+            stats.record_merge_comparisons(comparisons_per_record)
+        yield (key, record) if keyed else record
+        entry = pulls[index]()
+        if entry is not None:
+            heappush(heap, (entry[0], index, entry[1]))
         else:
             store.free(runs[index])
-    device.stats.record_tokens(sum(run.record_count for run in runs))
+    stats.record_tokens(sum(run.record_count for run in runs))
 
 
 def _merge_pass_loser_tree(
@@ -175,13 +155,11 @@ def _merge_pass_loser_tree(
     runs: list[RunHandle],
     key_of: Callable[[bytes], object],
     read_category: str,
-    options: MergeOptions | None = None,
     keyed: bool = False,
 ) -> Iterator[bytes]:
     if not runs:
         return
     device = store.device
-    columnar = options is not None and options.columnar
     # Each input run is its own sequential stream: interleaved per-run
     # reads must not be judged against each other, and in a real multi-file
     # setup (one file per run, OS readahead per descriptor) they would not
@@ -204,44 +182,27 @@ def _merge_pass_loser_tree(
             category=read_category, streams=streams,
         )
 
-    batch_keys = batch_keys_for(key_of) if columnar else None
+    batch_keys = batch_keys_for(key_of)
 
     def make_pull(index: int):
-        reader = readers[index]
-        if columnar:
-            # Columnar kernel: loser-tree sift pulls come from batch-
-            # parsed blocks with batch-computed (or sidecar-served)
-            # keys; the tournament (and its counted comparisons) is
-            # untouched.
-            pairs = keyed_puller(
-                reader, batch_keys,
-                run_sidecar(store, runs[index], key_of),
-            )
-
-            def pull():
-                entry = pairs()
-                if entry is None:
-                    if prefetcher is not None:
-                        prefetcher.exhausted(index)
-                    return None
-                if prefetcher is not None:
-                    prefetcher.note_head(index, entry[0])
-                    prefetcher.pump()
-                return entry
-
-            return pull
+        # Sift pulls come from batch-parsed blocks with batch-computed
+        # (or sidecar-served) keys; the tournament (and its counted
+        # comparisons) is untouched.
+        pairs = keyed_puller(
+            readers[index], batch_keys,
+            run_sidecar(store, runs[index], key_of),
+        )
 
         def pull():
-            record = reader.read_record()
-            if record is None:
+            entry = pairs()
+            if entry is None:
                 if prefetcher is not None:
                     prefetcher.exhausted(index)
                 return None
-            key = key_of(record)
             if prefetcher is not None:
-                prefetcher.note_head(index, key)
+                prefetcher.note_head(index, entry[0])
                 prefetcher.pump()
-            return key, record
+            return entry
 
         return pull
 
@@ -281,77 +242,48 @@ def _merged_group(
     failed attempt already drained and freed, and re-merges the group.
     The completed run is recorded as a checkpoint.
     """
-    columnar = options is not None and options.columnar
+    options = options or DEFAULT_MERGE_OPTIONS
     # Capture the output run's key sidecar while writing: the merged
     # stream already knows every record's normalized key, so the next
     # pass over this run can skip key evaluation (or replay outright).
     # Only the two normalized-bytes key functions qualify - custom keys
     # would poison later sidecar consumers.
-    collect = columnar and (
-        key_of is fast_path_key or key_of is embedded_key_of
-    )
-    if recovery is None:
-        if (
-            collect
-            and not options.loser_tree
-            and store.pool is None
-            and len(group) > 1
-            and have_numpy()
-        ):
-            # Heap kernel only: the loser tree *counts* its tournament
-            # comparisons and reads each run as its own stream, neither
-            # of which a replay reproduces.
-            sidecars = merge_sidecars(store, group, key_of)
-            if sidecars is not None:
-                # Fully-replayed materialized pass: merged order from the
-                # sidecar argsort, grouped reads and writes, and the
-                # output sidecar comes straight from the sorted keys.
-                writer = store.create_writer(write_category)
-                readers = [
-                    store.open_reader(run, category=read_category)
-                    for run in group
-                ]
-                keys = replay_merge_to_writer(
-                    store, group, readers, sidecars,
-                    max(1, ceil(log2(len(group)))), writer,
-                    _WRITE_CHUNK, options.keys.prefix_width,
-                )
-                handle = writer.finish()
-                store.key_sidecars[handle.run_id] = keys
-                return handle
-        writer = store.create_writer(write_category)
-        stream = merge_pass(
-            store, group, key_of, read_category, options, keyed=collect
-        )
-        keys: list = []
-        if columnar and store.pool is None:
-            # Grouped writer calls reorder output writes relative to the
-            # merge's input reads.  Without a shared buffer pool (eviction
-            # order observes the global access sequence) or a recovery
-            # context (fault points interact with the partial writer
-            # state) that reordering is invisible to every counter: each
-            # stream's own access sequence - and every per-category fault
-            # trigger index - is unchanged.
-            while True:
-                batch = list(islice(stream, _WRITE_CHUNK))
-                if not batch:
-                    break
-                if collect:
-                    keys.extend(entry[0] for entry in batch)
-                    writer.write_records([entry[1] for entry in batch])
-                else:
-                    writer.write_records(batch)
-        elif collect:
-            for key, record in stream:
-                keys.append(key)
-                writer.write_record(record)
-        else:
-            for record in stream:
-                writer.write_record(record)
-        handle = writer.finish()
-        if collect:
+    collect = key_of is fast_path_key or key_of is embedded_key_of
+    # Grouped writer calls reorder output writes relative to the merge's
+    # input reads.  Without a shared buffer pool (eviction order observes
+    # the global access sequence) or a recovery context (fault points
+    # interact with the partial writer state) that reordering is
+    # invisible to every counter: each stream's own access sequence -
+    # and every per-category fault trigger index - is unchanged.
+    grouped = recovery is None and store.pool is None
+    if (
+        grouped
+        and collect
+        and not options.loser_tree
+        and len(group) > 1
+        and have_numpy()
+    ):
+        # Heap kernel only: the loser tree *counts* its tournament
+        # comparisons and reads each run as its own stream, neither
+        # of which a replay reproduces.
+        sidecars = merge_sidecars(store, group, key_of)
+        if sidecars is not None:
+            # Fully-replayed materialized pass: merged order from the
+            # sidecar argsort, grouped reads and writes, and the
+            # output sidecar comes straight from the sorted keys.
+            writer = store.create_writer(write_category)
+            readers = [
+                store.open_reader(run, category=read_category)
+                for run in group
+            ]
+            keys = replay_merge_to_writer(
+                store, group, readers, sidecars,
+                max(1, ceil(log2(len(group)))), writer,
+                _WRITE_CHUNK, options.keys.prefix_width,
+            )
+            handle = writer.finish()
             store.key_sidecars[handle.run_id] = keys
-        return handle
+            return handle
 
     def attempt_once() -> RunHandle:
         writer = store.create_writer(write_category)
@@ -361,13 +293,21 @@ def _merged_group(
                 store, group, key_of, read_category, options,
                 keyed=collect,
             )
-            if collect:
-                for key, record in stream:
-                    writer.write_record(record)
-                    keys.append(key)
+            if grouped:
+                while True:
+                    batch = list(islice(stream, _WRITE_CHUNK))
+                    if not batch:
+                        break
+                    if collect:
+                        keys.extend(entry[0] for entry in batch)
+                        batch = [entry[1] for entry in batch]
+                    writer.write_records(batch)
             else:
-                for record in stream:
-                    writer.write_record(record)
+                for entry in stream:
+                    if collect:
+                        keys.append(entry[0])
+                        entry = entry[1]
+                    writer.write_record(entry)
         except DeviceFault:
             writer.abandon()
             raise
@@ -376,6 +316,8 @@ def _merged_group(
             store.key_sidecars[handle.run_id] = keys
         return handle
 
+    if recovery is None:
+        return attempt_once()
     handle = recovery.attempt(phase, unit, attempt_once, device=store.device)
     recovery.checkpoint(phase, unit, run_id=handle.run_id)
     return handle
@@ -506,9 +448,7 @@ def merge_to_stream(
         tracer.event("final-merge-stream", width=width, passes=passes)
     if width == 1:
         reader = store.open_reader(current[0], category=read_category)
-        if options is not None and options.columnar:
-            return _drained(reader), passes, width
-        return iter(reader), passes, width
+        return _drained(reader), passes, width
     return merge_pass(store, current, key_of, read_category, options), passes, width
 
 
@@ -543,11 +483,7 @@ def write_sorted_run(
     )
     store.device.stats.record_tokens(len(batch))
     writer = store.create_writer(write_category)
-    if options.columnar:
-        # Post-sort the whole batch is in memory either way; one grouped
-        # call issues the identical per-stream write sequence.
-        writer.write_records(batch)
-    else:
-        for record in batch:
-            writer.write_record(record)
+    # Post-sort the whole batch is in memory; one grouped call issues the
+    # per-stream write sequence of one call per record.
+    writer.write_records(batch)
     return writer.finish()

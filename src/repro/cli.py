@@ -178,12 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--kernel",
-            choices=["scalar", "columnar"],
-            default="scalar",
-            action=_TrackedStore,
-            help="record hot-path implementation: scalar (one record at a "
-            "time) or columnar (batched normalized-key kernels, identical "
-            "counters, much faster wall clock)",
+            choices=["columnar"],
+            default="columnar",
+            help="record hot-path implementation; columnar (batched "
+            "normalized-key kernels) is the only kernel",
         )
         p.add_argument(
             "--compress",
@@ -419,7 +417,6 @@ def _make_merge_options(args) -> MergeOptions:
         run_formation=getattr(args, "run_formation", "load-sort"),
         merge_kernel=getattr(args, "merge_kernel", "heap"),
         embedded_keys=getattr(args, "embedded_keys", False),
-        kernel=getattr(args, "kernel", "scalar"),
         compress=None if compress in (None, "off") else compress,
         compress_capacity=getattr(args, "compress_capacity", False),
     )
@@ -466,7 +463,6 @@ def _plan_auto(args, document, base_device):
         ("run_formation", "run_formation"),
         ("merge_kernel", "merge_kernel"),
         ("embedded_keys", "embedded_keys"),
-        ("kernel", "kernel"),
         ("prefetch_depth", "prefetch_depth"),
         ("prefetch_policy", "prefetch_policy"),
         ("compress_capacity", "compress_capacity"),
@@ -489,7 +485,6 @@ def _plan_auto(args, document, base_device):
     args.run_formation = chosen.run_formation
     args.merge_kernel = chosen.merge_kernel
     args.embedded_keys = chosen.embedded_keys
-    args.kernel = chosen.kernel
     args.compress = chosen.compress or "off"
     args.compress_capacity = chosen.compress_capacity
     if (
@@ -582,7 +577,6 @@ def cmd_sort(args) -> int:
                         run_formation=plan.config.run_formation,
                         merge_kernel=plan.config.merge_kernel,
                         embedded_keys=plan.config.embedded_keys,
-                        kernel=plan.config.kernel,
                         predicted_seconds=round(
                             plan.cost.total_seconds, 6
                         ),
@@ -622,7 +616,7 @@ def cmd_sort(args) -> int:
             if not merge_options.is_default:
                 print(
                     "note: xsort ignores --run-formation, --merge-kernel, "
-                    "--embedded-keys, --kernel and --compress",
+                    "--embedded-keys and --compress",
                     file=sys.stderr,
                 )
             if recovery is not None:

@@ -1,10 +1,10 @@
-"""Batch-columnar kernels for the record hot path (ROADMAP item 5).
+"""Batch-columnar kernels: the record hot path of both sorters.
 
-The reference ("scalar") implementation moves one record at a time through
-tokenize -> key-evaluate -> encode -> form-runs -> merge -> decode, which is
-bit-faithful to the paper's accounting but pays Python interpreter overhead
-per element - the reproduction topped out around 10^6 elements.  This
-module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
+Moving one record at a time through tokenize -> key-evaluate -> encode ->
+form-runs -> merge -> decode is bit-faithful to the paper's accounting but
+pays Python interpreter overhead per element; an earlier element-at-a-time
+kernel topped out around 10^6 elements.  This module provides the batch
+kernels every sort runs on:
 
 * :class:`ColumnarBatch` - a run-formation batch held column-wise: one
   contiguous fixed-width array of normalized-key *prefixes* (numpy
@@ -14,7 +14,7 @@ module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
   comparisons;
 * :func:`argsort_normalized` - prefix argsort with a full-key tie-break
   on equal prefixes, producing exactly the order - including stability -
-  of the scalar ``list.sort`` over the same keys;
+  of a ``list.sort`` over the same keys;
 * :func:`fast_path_key` - normalized key bytes straight from an encoded
   key-path record, parsing only the path prefix (merge passes never
   decode tags/attributes/text);
@@ -36,14 +36,17 @@ module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
 
 **Parity guarantee.**  Every kernel here is counter-transparent: device
 accesses are issued in the same per-stream order at the same consumption
-points as the scalar path (draining an already-buffered block is free in
-the device model either way), comparison charges use the same analytic
-formulas (and counted mode keeps the scalar counting sort), and token
-charges are batched sums of the same per-record units.  Normalized keys
-are order- and equality-faithful (:mod:`repro.merge.engine`), so every
-comparison *outcome* - and therefore every sort order, tie-break, run
-boundary, and merge pop sequence - is identical.  The accounting-parity
-suite pins this across the full MergeOptions grid.
+points as a one-record-at-a-time reader (draining an already-buffered
+block is free in the device model either way), comparison charges use
+the same analytic formulas (and counted mode replays a counting
+comparison sort), and token charges are sums of the same per-record
+units.  Normalized keys are order- and equality-faithful
+(:mod:`repro.merge.engine`), so every comparison *outcome* - and
+therefore every sort order, tie-break, run boundary, and merge pop
+sequence - is that of the paper's per-element algorithm.  The
+accounting-parity suite pins this across the full MergeOptions grid
+against digests recorded from the element-at-a-time kernel
+(``tests/data/kernel_goldens.json``).
 """
 
 from __future__ import annotations
@@ -341,9 +344,8 @@ def argsort_normalized(
     are then re-ordered by their full keys with a stable Python sort.
     Without numpy
     the whole argsort falls back to a stable sort on the full keys.
-    Either way the result equals the order a stable scalar sort of the
-    keys produces, which is what keeps the columnar kernel's run
-    contents bit-identical.
+    Either way the result equals the order a stable comparison sort of
+    the keys produces, which is what keeps run contents bit-identical.
     """
     n = len(keys)
     if n <= 1:
@@ -367,7 +369,7 @@ def argsort_normalized(
     # Tie-break equal padded prefixes on the full key.  The argsort is
     # stable, so rows inside a tie group arrive in ascending original
     # index; the stable Python sort below therefore preserves input
-    # order on fully equal keys, exactly like the scalar timsort.
+    # order on fully equal keys, exactly like a stable timsort.
     sorted_rows = rows[order]
     changed = sorted_rows[1:] != sorted_rows[:-1]
     order = order.tolist()
@@ -389,7 +391,7 @@ def argsort_keyed_batch(
 ) -> list[tuple[bytes, bytes]]:
     """Sort a run-formation ``(normalized key, payload)`` batch.
 
-    Drop-in for the scalar ``sort_keyed_batch`` ordering (the caller
+    Drop-in for the ``sort_keyed_batch`` ordering (the caller
     charges comparisons); returns a new sorted list.
     """
     keys = [key for key, _payload in batch]
@@ -459,8 +461,9 @@ def record_puller(reader) -> Callable[[], bytes | None]:
     Serves every record of the currently buffered block from one batched
     parse; the record that needs the next block is fetched through
     ``read_record`` so the block load happens at exactly the pull index a
-    scalar reader would issue it - the property merge prefetchers, pool
-    eviction order, and interleaved-stream seek judgments depend on.
+    one-record-at-a-time reader would issue it - the property merge
+    prefetchers, pool eviction order, and interleaved-stream seek
+    judgments depend on.
     """
     queue: list[bytes] = []
     index = 0
@@ -515,8 +518,8 @@ def keyed_puller(reader, batch_keys, sidecar=None) -> Callable[[], tuple | None]
     this is where the merge passes' per-record key cost collapses into a
     batch kernel.  With a key ``sidecar`` (the run's normalized keys in
     record order, captured when the run was written) keys are not even
-    recomputed, just indexed.  Block-load timing is the same as the
-    scalar reader's (see :func:`record_puller`).
+    recomputed, just indexed.  Block-load timing is the same as a
+    one-record-at-a-time reader's (see :func:`record_puller`).
     """
     queue: list[bytes] = []
     keys: list = []
@@ -620,7 +623,7 @@ def _replay_order(runs, sidecars, prefix_width):
 def _replay_heads(readers):
     """Initial head record of every reader, pulled in index order.
 
-    Matches the scalar heap's heapify-time reads: one ``read_record``
+    Matches a heap merge's heapify-time reads: one ``read_record``
     per reader, loading each run's first block in run order.  Returns
     (heads, queues, indices) - the inlined drain state the replay loops
     advance without closure calls.
@@ -656,7 +659,7 @@ def replay_merge(
     (:func:`_replay_order`), the merge just *replays* record pulls in
     the merged order.  No per-record key evaluation, no heap ops.
 
-    Counter parity with the scalar heap kernel:
+    Counter parity with a per-record heap merge:
 
     * records are pulled from each run strictly sequentially, and the
       *global* interleaving of pulls across runs is the merged order -
@@ -669,7 +672,7 @@ def replay_merge(
       at init, matching the heap (empty runs are never freed by either);
     * the analytic ``ceil(log2 w)`` charge per emitted record is flushed
       incrementally on exit, so a device fault or early close mid-merge
-      leaves exactly the scalar charge total.
+      leaves exactly the heap merge's charge total.
     """
     all_keys, order, run_of = _replay_order(runs, sidecars, prefix_width)
     heads, queues, indices = _replay_heads(readers)
@@ -1015,15 +1018,15 @@ def form_runs_columnar(document, spec, former, device) -> bool:
     already-encoded tag/attribute/text bytes, and the former receives
     normalized ``bytes`` keys.  Emission order (element end-tag order),
     record bytes, token charges, and input-scan block reads are identical
-    to the scalar pipeline.
+    to that token pipeline's.
 
     Every storage dialect is covered: plain, dictionary-coded names
     (tag+attrs slices splice verbatim - key-path records use the same
     name encoding), and end-tag-eliminated streams (a dedicated loop
     synthesizes element closes from level transitions with
-    ``restore_end_tags``' exact rules).  Returns False - caller must run
-    the scalar path - only for non-start-computable specs.  Raises the
-    scalar path's own error for streams it rejects (annotated pointers,
+    ``restore_end_tags``' exact rules).  Returns False, having read
+    nothing, only for non-start-computable specs.  Raises the token
+    pipeline's own error for streams it rejects (annotated pointers,
     unbalanced nesting).
     """
     if not spec.start_computable:
@@ -1050,7 +1053,9 @@ def form_runs_columnar(document, spec, former, device) -> bool:
     ta_stack: list[bytes] = []
     text_stack: list = []
     next_pos = 0
-    records = 0
+    # One token per record, charged before the add as the token
+    # pipeline does, so run-formed events see the same clock.
+    charge = device.stats.record_tokens
 
     while True:
         # Drain the buffered block in one batched parse; the record that
@@ -1108,13 +1113,13 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                 else:
                     text_frame = pending
                 depth = len(ta_stack) + 1
+                charge(1)
                 add(
                     norm,
                     join(
                         (_element_head(depth), enc, tag_attrs, text_frame)
                     ),
                 )
-                records += 1
             elif token_type == TYPE_TEXT:
                 if record[1]:
                     token = document.codec.decode(record)
@@ -1138,7 +1143,6 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                 raise CodecError(f"unknown token type byte {token_type}")
     if ta_stack:
         raise CodecError("unbalanced event stream during columnar scan")
-    device.stats.record_tokens(records)
     return True
 
 
@@ -1151,7 +1155,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
     pointer at level ``l`` closes opens at levels ``>= l``; a text at
     level ``l`` closes opens deeper than ``l``; end of stream closes
     everything).  Emission order, record bytes, and token charges match
-    the scalar ``restore_end_tags -> annotate -> records -> encode``
+    the ``restore_end_tags -> annotate -> records -> encode`` token
     pipeline.
     """
     names_coded = names is not None
@@ -1171,10 +1175,9 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
     text_stack: list = []
     open_levels: list[int] = []
     next_pos = 0
-    records = 0
+    charge = device.stats.record_tokens
 
     def close_top() -> None:
-        nonlocal records
         tag_attrs = ta_stack.pop()
         pending = text_stack.pop()
         if pending is None:
@@ -1187,9 +1190,9 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
         depth = len(ta_stack) + 1
         norm = norm_stack.pop()
         enc = enc_stack.pop()
+        charge(1)
         add(norm, join((_element_head(depth), enc, tag_attrs, text_frame)))
         open_levels.pop()
-        records += 1
 
     while True:
         chunk = read_available()
@@ -1267,7 +1270,6 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
                 raise CodecError(f"unknown token type byte {token_type}")
     while open_levels:
         close_top()
-    device.stats.record_tokens(records)
     return True
 
 
@@ -1514,22 +1516,22 @@ def sort_raw_tree(
 ) -> None:
     """Sort every sibling list of a raw-record subtree, batched.
 
-    The batch form of ``subtree.sort_node_tree``: one DFS gathers every
-    sibling group that the scalar path would sort (``n > 1``, level
-    within ``sort_levels``), group keys are the engine-normalized
-    ``atom + 8-byte position`` bytes (order- and equality-faithful to
-    the scalar ``(key, pos)`` tuple compare), and :func:`argsort_groups`
-    orders all groups in one batched stable argsort.  The analytic
-    ``n * ceil(log2 n)`` comparison charge per group is identical to the
-    scalar path's; charge *order* inside the surrounding subtree-sort
-    span is not observable, so the total is recorded in one call.
+    The raw-record form of ``subtree.sort_node_tree``: one DFS gathers
+    every sibling group to sort (``n > 1``, level within
+    ``sort_levels``), group keys are the engine-normalized ``atom +
+    8-byte position`` bytes (order- and equality-faithful to the
+    ``(key, pos)`` tuple compare), and :func:`argsort_groups` orders all
+    groups in one batched stable argsort.  The analytic ``n * ceil(log2
+    n)`` comparison charge per group is that of a per-group sort; charge
+    *order* inside the surrounding subtree-sort span is not observable,
+    so the total is recorded in one call.
 
     ``counted=True`` (comparison-charging mode) keys each group down to
     dense ranks via the batched order and replays a counted timsort over
     the rank ints (:func:`~repro.merge.engine.argsort_counted`).  Because
-    the rank lists are order- and equality-isomorphic to the scalar
+    the rank lists are order- and equality-isomorphic to the
     ``(key, pos)`` tuples, the replay performs - and charges - exactly
-    the comparison sequence of the scalar per-group counted sort, while
+    the comparison sequence of a per-group counted sort, while
     key derivation and the heavy lifting stay batched.
     """
     groups: list[list[_RawNode]] = []
@@ -1561,8 +1563,8 @@ def sort_raw_tree(
     if not groups:
         return
     if counted:
-        # Charge per group, in DFS gather order, exactly as the scalar
-        # path charges per sibling-group sort.
+        # Charge per group, in DFS gather order, exactly as per-group
+        # sorts would.
         for children, keys, order in zip(
             groups, group_keys, argsort_groups(group_keys, prefix_width)
         ):
@@ -1638,10 +1640,9 @@ def subtree_root_summary(
 ) -> tuple[bytes | None, int]:
     """(encoded root key atom or None, root position) of a subtree.
 
-    Reproduces ``SubtreeSorter.sort_tokens``' root-key rule exactly: the
-    root's start annotations, falling back - in plain mode, when the
-    start's key is missing - to the key/pos the final end tag carries
-    (subtree-evaluated criteria).
+    The root key rule of a subtree sort: the root's start annotations,
+    falling back - in plain mode, when the start's key is missing - to
+    the key/pos the final end tag carries (subtree-evaluated criteria).
     """
     first = records[0]
     if first[0] != TYPE_START and first[0] != TYPE_POINTER:
@@ -1690,8 +1691,8 @@ def sort_subtree_records(
     argsort (:func:`sort_raw_tree`), and output records are spliced from
     the input's own encoded slices.  Returns ``(out_records, units,
     real_elements)``; output bytes, order, and the comparison charge are
-    identical to the scalar internal path (``counted=True`` replays the
-    counted comparison sequence exactly - see :func:`sort_raw_tree`).
+    those of the token pipeline (``counted=True`` replays the counted
+    comparison sequence exactly - see :func:`sort_raw_tree`).
     """
     root, units, real = parse_subtree(records, compact, names_coded)
     sort_raw_tree(root, sort_levels, stats, prefix_width, counted=counted)
@@ -1707,18 +1708,17 @@ def subtree_keypath_records(
 ) -> Iterable[tuple[object, bytes]]:
     """Key-path records of a parsed subtree, spliced from its record bytes.
 
-    The byte form of NEXSORT's external subtree-sort preparation
-    (``restore_end_tags`` / ``annotate_starts_from_ends`` ->
-    ``mask_keys_below`` -> ``records_from_annotated_events`` ->
-    ``encode_record``) over the raw tree of :func:`parse_subtree`.  The
+    The byte form of ``records_from_annotated_events`` ->
+    ``encode_record`` over the raw tree of :func:`parse_subtree`, with
+    end-tag keys on their elements and keys below ``sort_levels`` masked
+    to MISSING (the position tie-break then keeps document order).  The
     token codec and the key-path format share the tag/attribute and
     string frame layouts in both name dialects, so a record is the
     element head, the cumulative encoded path, the start's ``tag+attrs``
-    slice and its joined text frame; a key masked below ``sort_levels``
-    becomes the missing atom.  Yields ``(key, record)`` in the token
-    path's order (elements after their subtrees, pointers in place) with
-    the keys it feeds the run former: the path tuple of decoded atoms, or
-    its engine-normalized bytes when ``embedded``.
+    slice and its joined text frame.  Yields ``(key, record)`` in
+    key-path order (elements after their subtrees, pointers in place)
+    with the keys it feeds the run former: the path tuple of decoded
+    atoms, or its engine-normalized bytes when ``embedded``.
     """
     atoms: dict[bytes, object] = {}
     join = b"".join

@@ -298,16 +298,12 @@ class NexSorter:
             evaluator = KeyEvaluator(self.spec)
             root_pointer: RunPointer | None = None
 
-            # Fused columnar scan (ISSUE 7): annotate stored records by
-            # byte splicing instead of decode -> KeyEvaluator -> encode.
-            # Start-computable keys only (the splice evaluates keys from
-            # raw tag+attrs slices); graceful degeneration keeps the
-            # token loop (its flush heuristics inspect decoded tokens).
-            fused = (
-                options.merge.columnar
-                and start_keyed
-                and not options.flat_optimization
-            )
+            # Fused scan: annotate stored records by byte splicing
+            # instead of decode -> KeyEvaluator -> encode.  Start-
+            # computable keys only (the splice evaluates keys from raw
+            # tag+attrs slices); graceful degeneration keeps the token
+            # loop (its flush heuristics inspect decoded tokens).
+            fused = start_keyed and not options.flat_optimization
             with maybe_span(
                 tracer,
                 "document-scan",
@@ -369,8 +365,7 @@ class NexSorter:
             before_output = device.stats.snapshot()
             with maybe_span(tracer, "output-walk"):
                 handle, output_page_ins, output_page_outs = output_phase(
-                    store, root_pointer, tracer=tracer,
-                    columnar=options.merge.columnar,
+                    store, root_pointer, tracer=tracer
                 )
                 # Detach (and flush) the pool before the final snapshots so
                 # the write-back of any still-dirty output blocks is
@@ -756,16 +751,9 @@ class NexSorter:
             size=size,
             level=d_s,
         ) as span:
-            if self.options.merge.columnar:
-                # Fused path: sort straight from the encoded records
-                # (falls back internally for external-sized subtrees
-                # and counted-comparison mode).
-                result = sorter.sort_records(
-                    token_records, size, d_s, sort_levels
-                )
-            else:
-                tokens = [codec.decode(record) for record in token_records]
-                result = sorter.sort_tokens(tokens, size, d_s, sort_levels)
+            result = sorter.sort_records(
+                token_records, size, d_s, sort_levels
+            )
             if span is not None:
                 span.set(
                     internal=result.internal,

@@ -38,8 +38,7 @@ from ..xml.tokens import RunPointer
 
 
 def output_phase(
-    store: RunStore, root_pointer: RunPointer, tracer=None,
-    columnar: bool = False,
+    store: RunStore, root_pointer: RunPointer, tracer=None
 ) -> tuple[RunHandle, int, int]:
     """Expand the tree of sorted runs into the final output document.
 
@@ -49,11 +48,11 @@ def output_phase(
     A tracer records a summary event when the walk completes (the caller
     owns the enclosing ``output-walk`` span).
 
-    ``columnar=True`` copies block-drained record batches with one
-    grouped writer call instead of one ``write_record`` per token -
-    device-sequence-identical (same framed output stream, so blocks
-    fill and flush at the same offsets; reads fire at the same pull
-    indices), just less interpreter work per record.
+    Block-drained record batches are copied with one grouped writer call
+    instead of one ``write_record`` per token - device-sequence-identical
+    (same framed output stream, so blocks fill and flush at the same
+    offsets; reads fire at the same pull indices), just less interpreter
+    work per record.
     """
     device = store.device
     pool = store.pool
@@ -103,53 +102,39 @@ def output_phase(
             current, category="run_read", readahead=0
         )
 
-    if columnar:
-        header = _LEN.size
-        while True:
-            chunk = reader.read_available_records()
-            if not chunk:
-                record = reader.read_record()
-                if record is None:
-                    if not resume_parent():
-                        break
-                    continue
-                chunk = [record]
-            # Copy records up to the first pointer with one grouped
-            # call; on a pointer, descend.  Drained records past the
-            # pointer are abandoned with the reader - the resume
-            # re-reads their block, exactly the scalar walk's
-            # ``1 + p(b)`` accounting (Lemma 4.12).
-            jump = -1
-            for index, record in enumerate(chunk):
-                if is_pointer_record(record):
-                    jump = index
-                    break
-            if jump < 0:
-                writer.write_records(chunk)
-                device.stats.record_tokens(len(chunk))
-                continue
-            if jump:
-                writer.write_records(chunk[:jump])
-                device.stats.record_tokens(jump)
-            # Framed-stream offset just past the pointer record: the
-            # drain already advanced the reader past the whole chunk,
-            # so subtract the abandoned tail.
-            offset = reader.tell() - sum(
-                header + len(record) for record in chunk[jump + 1 :]
-            )
-            descend(chunk[jump], offset)
-    else:
-        while True:
+    header = _LEN.size
+    while True:
+        chunk = reader.read_available_records()
+        if not chunk:
             record = reader.read_record()
             if record is None:
                 if not resume_parent():
                     break
                 continue
+            chunk = [record]
+        # Copy records up to the first pointer with one grouped call; on
+        # a pointer, descend.  Drained records past the pointer are
+        # abandoned with the reader - the resume re-reads their block,
+        # exactly the ``1 + p(b)`` accounting of Lemma 4.12.
+        jump = -1
+        for index, record in enumerate(chunk):
             if is_pointer_record(record):
-                descend(record, reader.tell())
-                continue
-            writer.write_record(record)
-            device.stats.record_tokens(1)
+                jump = index
+                break
+        if jump < 0:
+            writer.write_records(chunk)
+            device.stats.record_tokens(len(chunk))
+            continue
+        if jump:
+            writer.write_records(chunk[:jump])
+            device.stats.record_tokens(jump)
+        # Framed-stream offset just past the pointer record: the drain
+        # already advanced the reader past the whole chunk, so subtract
+        # the abandoned tail.
+        offset = reader.tell() - sum(
+            header + len(record) for record in chunk[jump + 1 :]
+        )
+        descend(chunk[jump], offset)
 
     handle = writer.finish()
     for run in finished_runs:

@@ -6,12 +6,14 @@ subtree, sorting on Line 11 may use either an internal-memory algorithm or
 an external-memory algorithm, e.g., internal-memory recursive sort or
 key-path external merge sort" (Section 3.1).  Both paths live here:
 
-* **internal** - build the node tree, recursively sort every child list by
-  ``(key, position)``, serialize depth-first into a run.
-* **external** - the subtree exceeds the sorter's memory: generate its
+* **internal** - parse the subtree's records, sort every child list by
+  ``(key, position)`` in one batch, and splice the run records back out of
+  the input's own bytes.
+* **external** - the subtree exceeds the sorter's memory: splice its
   key-path records (paths relative to the subtree root), form runs of
-  memory size, merge, and decode into the run.  This is the path taken when
-  a subtree approaches the ``k * t`` size bound of Section 3.
+  memory size, merge, and splice the merged records into the run.  This is
+  the path taken when a subtree approaches the ``k * t`` size bound of
+  Section 3.
 
 Tokens inside a finished run carry no keys or positions (they are never
 sorted again; only the RunPointer pushed back on the data stack keeps the
@@ -21,6 +23,10 @@ Depth-limited sorting (Section 3.2): only the top ``sort_levels`` relative
 levels have their child lists reordered; deeper levels keep document order.
 The external path implements this by masking the keys of too-deep elements
 to MISSING so their position tie-break preserves the original order.
+
+The node-tree helpers (:func:`build_subtree`, :func:`sort_node_tree`,
+:func:`serialize_node_tree`) serve graceful degeneration
+(:mod:`repro.core.flat`), which sorts child groups from tokens.
 """
 
 from __future__ import annotations
@@ -30,12 +36,6 @@ from dataclasses import dataclass
 from math import ceil, log2
 from typing import Iterable, Iterator
 
-from ..baselines.keypath import (
-    decode_record,
-    encode_record,
-    records_from_annotated_events,
-    tokens_from_sorted_records,
-)
 from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
 from ..io.runs import RunHandle, RunStore
@@ -47,12 +47,8 @@ from ..merge.engine import (
     argsort_counted,
     dense_ranks,
     embedded_key_of,
-    normalized_path_key,
-    sort_with_accounting,
-    strip_embedded_key,
 )
 from ..xml.codec import TokenCodec, decode_key_atom
-from ..xml.compact import restore_end_tags
 from .columnar import (
     argsort_groups,
     emit_output_columnar,
@@ -94,9 +90,6 @@ class _Node:
     @property
     def is_pointer(self) -> bool:
         return self.pointer is not None
-
-    def order_key(self) -> tuple:
-        return (self.key, self.pos)
 
 
 @dataclass(frozen=True)
@@ -201,59 +194,21 @@ def sort_node_tree(
     sort_levels: int | None,
     device_stats,
     counted: bool = False,
-    kernel: str = "scalar",
 ) -> None:
-    """Recursively sort every child list (iteratively, stack-safe).
+    """Sort every child list of the tree (iteratively, stack-safe).
 
     ``sort_levels`` limits sorting to the top levels of the subtree
-    (None = all levels); comparisons are charged to the CPU model -
-    analytically (``n * ceil(log2 n)``, the seed behaviour) by default,
-    or as actually counted when ``counted`` is set.
-
-    ``kernel="columnar"`` gathers every sibling group the scalar path
-    would sort and orders all of them with one batched stable argsort
-    over engine-normalized ``key + position`` bytes
-    (:func:`repro.core.columnar.argsort_groups`); the resulting orders
-    and the analytic comparison total are identical to the scalar
-    per-group ``list.sort``.  Counted mode batches too: each group's
-    keys collapse to dense ranks via the batched order, and a counted
-    timsort replay over the rank ints charges exactly the comparison
-    sequence the scalar per-group sort performs (the ranks are order-
-    and equality-isomorphic to the ``(key, pos)`` tuples).
+    (None = all levels).  Every sibling group is gathered and all of
+    them are ordered with one batched stable argsort over engine-
+    normalized ``key + position`` bytes
+    (:func:`repro.core.columnar.argsort_groups`).  Comparisons are
+    charged to the CPU model analytically (``n * ceil(log2 n)`` per
+    group, the seed behaviour) by default.  With ``counted`` each
+    group's keys collapse to dense ranks via the batched order, and a
+    counted timsort replay over the rank ints charges exactly the
+    comparisons a per-group ``(key, pos)`` sort performs (the ranks are
+    order- and equality-isomorphic to the tuples).
     """
-    if kernel == "columnar":
-        _sort_node_tree_columnar(
-            root, sort_levels, device_stats, counted=counted
-        )
-        return
-    work: list[tuple[_Node, int]] = [(root, 1)]
-    while work:
-        node, level = work.pop()
-        if sort_levels is None or level <= sort_levels:
-            n = len(node.children)
-            if n > 1:
-                if counted:
-                    sort_with_accounting(
-                        node.children, _Node.order_key, device_stats, True
-                    )
-                else:
-                    node.children.sort(key=_Node.order_key)
-                    device_stats.record_comparisons(
-                        n * max(1, ceil(log2(n)))
-                    )
-        for child in node.children:
-            if not child.is_pointer:
-                work.append((child, level + 1))
-
-
-def _sort_node_tree_columnar(
-    root: _Node,
-    sort_levels: int | None,
-    device_stats,
-    prefix_width: int | None = None,
-    counted: bool = False,
-) -> None:
-    """Batched sibling-group form of :func:`sort_node_tree`."""
     groups: list[list[_Node]] = []
     group_keys: list[list[bytes]] = []
     memo: dict[tuple, bytes] = {}
@@ -283,16 +238,14 @@ def _sort_node_tree_columnar(
         return
     if counted:
         for children, keys, order in zip(
-            groups, group_keys, argsort_groups(group_keys, prefix_width)
+            groups, group_keys, argsort_groups(group_keys)
         ):
             ranks = dense_ranks(keys, order)
             replay = argsort_counted(ranks, device_stats)
             children[:] = [children[i] for i in replay]
         return
     comparisons = 0
-    for children, order in zip(
-        groups, argsort_groups(group_keys, prefix_width)
-    ):
+    for children, order in zip(groups, argsort_groups(group_keys)):
         children[:] = [children[i] for i in order]
         n = len(children)
         comparisons += n * max(1, ceil(log2(n)))
@@ -350,71 +303,6 @@ def count_units(tokens: Iterable[Token]) -> tuple[int, int]:
     return units, real
 
 
-def annotate_starts_from_ends(tokens: list[Token]) -> list[Token]:
-    """Move keys from end tags onto the matching start tags.
-
-    The external (key-path) sorting path needs keys on starts; for
-    subtree-evaluated criteria NEXSORT's scan put them on the end tags.
-    The popped subtree is fully available here, so the fix-up is a single
-    in-memory pass.
-    """
-    fixed = list(tokens)
-    stack: list[int] = []
-    for index, token in enumerate(fixed):
-        if isinstance(token, StartTag):
-            stack.append(index)
-        elif isinstance(token, EndTag):
-            start_index = stack.pop()
-            start = fixed[start_index]
-            if start.key is None or start.pos is None:
-                fixed[start_index] = start.with_annotations(
-                    key=token.key, pos=token.pos
-                )
-    return fixed
-
-
-def mask_keys_below(tokens: list[Token], sort_levels: int) -> list[Token]:
-    """Mask keys of elements deeper than ``sort_levels`` to MISSING.
-
-    With a MISSING key, the position tie-break keeps those siblings in
-    document order - exactly depth-limited semantics under key-path sort.
-    Relative levels are computed from the token stream (root = 1).
-    """
-    masked: list[Token] = []
-    depth = 0
-    for token in tokens:
-        if isinstance(token, StartTag):
-            depth += 1
-            if depth > sort_levels:
-                token = StartTag(
-                    token.tag,
-                    token.attrs,
-                    key=MISSING_KEY,
-                    pos=token.pos,
-                    level=token.level,
-                )
-            masked.append(token)
-        elif isinstance(token, EndTag):
-            if depth > sort_levels:
-                token = EndTag(token.tag, key=MISSING_KEY, pos=token.pos)
-            masked.append(token)
-            depth -= 1
-        elif isinstance(token, RunPointer):
-            if depth + 1 > sort_levels:
-                token = RunPointer(
-                    run_id=token.run_id,
-                    key=MISSING_KEY,
-                    pos=token.pos,
-                    level=token.level,
-                    element_count=token.element_count,
-                    payload_bytes=token.payload_bytes,
-                )
-            masked.append(token)
-        else:
-            masked.append(token)
-    return masked
-
-
 class SubtreeSorter:
     """Sorts popped subtrees into runs, choosing internal vs. external."""
 
@@ -449,62 +337,10 @@ class SubtreeSorter:
         base_level: int,
         sort_levels: int | None,
     ) -> SubtreeResult:
-        """Sort one complete subtree and write it as a run.
-
-        Args:
-            tokens: the subtree's tokens, in document order.
-            payload_bytes: their total encoded size (known from the stack).
-            base_level: absolute level of the subtree root (``d_s``).
-            sort_levels: how many top relative levels to sort (None = all;
-                0 = none, the subtree is written through unsorted).
-        """
-        units, real = count_units(tokens)
-        root_token = tokens[0]
-        root_key = (
-            root_token.key if root_token.key is not None else MISSING_KEY
-        )
-        root_pos = root_token.pos if root_token.pos is not None else 0
-        if root_key == MISSING_KEY and not self.compact:
-            # Subtree-evaluated criteria put the root's key on its end tag.
-            last = tokens[-1]
-            if isinstance(last, EndTag) and last.key is not None:
-                root_key = last.key
-                root_pos = last.pos if last.pos is not None else root_pos
-
-        internal = payload_bytes <= self.capacity_bytes
-        run, written = self._sort_recoverably(
-            tokens, base_level, sort_levels, internal
-        )
-        return SubtreeResult(
-            run=run,
-            units=units,
-            real_elements=real,
-            payload_bytes=written,
-            root_key=root_key,
-            root_pos=root_pos,
-            internal=internal,
-        )
-
-    def _sort_recoverably(
-        self,
-        tokens: list[Token],
-        base_level: int,
-        sort_levels: int | None,
-        internal: bool,
-    ) -> tuple[RunHandle, int]:
-        """Run one subtree sort, restarting it on transient faults.
-
-        A subtree sort regenerates everything from the in-memory token
-        list, so no device hold is needed; a restart only has to clean up
-        what the failed attempt left behind - runs it registered (the
-        external path's formation/merge intermediates) and their
-        ``run_lengths`` entries.
-        """
-        sorter = (
-            self._sort_internal if internal else self._sort_external
-        )
-        return self._run_recoverably(
-            lambda: sorter(tokens, base_level, sort_levels)
+        """:meth:`sort_records` over a subtree given as tokens."""
+        return self.sort_records(
+            [self.codec.encode(token) for token in tokens],
+            payload_bytes, base_level, sort_levels,
         )
 
     def _run_recoverably(self, attempt) -> tuple[RunHandle, int]:
@@ -532,8 +368,6 @@ class SubtreeSorter:
         self.recovery.checkpoint("subtree-sort", unit, run_id=run.run_id)
         return run, written
 
-    # -- fused raw-record path (columnar kernel) -----------------------------
-
     def sort_records(
         self,
         records: list[bytes],
@@ -541,18 +375,25 @@ class SubtreeSorter:
         base_level: int,
         sort_levels: int | None,
     ) -> SubtreeResult:
-        """Sort one subtree straight from its encoded data-stack records.
+        """Sort one complete subtree and write it as a run.
 
-        The columnar analogue of :meth:`sort_tokens`: when the subtree
-        fits in memory the records are parsed by field offsets, sibling
-        groups are ordered with one batched argsort, and run records are
-        spliced from the input's own encoded slices
+        Works straight from the encoded data-stack records: when the
+        subtree fits in memory the records are parsed by field offsets,
+        sibling groups are ordered with one batched argsort, and run
+        records are spliced from the input's own encoded slices
         (:func:`repro.core.columnar.sort_subtree_records`) - no token is
-        ever materialized.  Output bytes, counters, and the RunPointer
-        key are identical to the scalar path (counted-comparison mode
-        replays the scalar comparison sequence over dense ranks - see
+        ever materialized.  Counted-comparison mode replays a per-group
+        comparison sort over dense ranks (see
         :func:`repro.core.columnar.sort_raw_tree`).  External-sized
         subtrees stay in bytes too (:meth:`_sort_external_records`).
+
+        Args:
+            records: the subtree's encoded token records, in document
+                order.
+            payload_bytes: their total encoded size (known from the stack).
+            base_level: absolute level of the subtree root (``d_s``).
+            sort_levels: how many top relative levels to sort (None = all;
+                0 = none, the subtree is written through unsorted).
         """
         internal = payload_bytes <= self.capacity_bytes
         names_coded = self.codec.names is not None
@@ -621,36 +462,6 @@ class SubtreeSorter:
             internal=True,
         )
 
-    # -- internal-memory path ----------------------------------------------
-
-    def _sort_internal(
-        self,
-        tokens: list[Token],
-        base_level: int,
-        sort_levels: int | None,
-    ) -> tuple[RunHandle, int]:
-        stats = self.store.device.stats
-        root = build_subtree(tokens, self.compact)
-        sort_node_tree(
-            root,
-            sort_levels,
-            stats,
-            self.options.counted_comparisons,
-            kernel=self.options.kernel,
-        )
-        writer = self.store.create_writer("run_write")
-        count = 0
-        try:
-            for token in serialize_node_tree(root, base_level, self.compact):
-                writer.write_record(self.codec.encode(token))
-                count += 1
-        except DeviceFault:
-            writer.abandon()
-            raise
-        stats.record_tokens(count)
-        handle = writer.finish()
-        return handle, handle.payload_bytes
-
     # -- external-memory (key-path) path -------------------------------------
 
     def _sort_external_records(
@@ -661,13 +472,11 @@ class SubtreeSorter:
     ) -> tuple[RunHandle, int]:
         """Key-path external sort of a parsed subtree, entirely in bytes.
 
-        The columnar form of :meth:`_sort_external`: key-path records are
-        spliced from the stored token records of the raw subtree ``root``
+        Key-path records are spliced from the stored token records of the
+        raw subtree ``root``
         (:func:`repro.core.columnar.subtree_keypath_records`), formed into
-        runs with the keys the token path uses, merged, and the sorted
-        run's tokens are spliced back out of the merged records
-        (:func:`repro.core.columnar.emit_output_columnar`).  Run bytes,
-        token charges, comparisons, I/O order and trace are identical.
+        runs, merged, and the sorted run's tokens are spliced back out of
+        the merged records (:func:`repro.core.columnar.emit_output_columnar`).
         """
         device = self.store.device
         options = self.options
@@ -711,88 +520,5 @@ class SubtreeSorter:
             writer.abandon()
             raise
         charge(count)
-        handle = writer.finish()
-        return handle, handle.payload_bytes
-
-    def _sort_external(
-        self,
-        tokens: list[Token],
-        base_level: int,
-        sort_levels: int | None,
-    ) -> tuple[RunHandle, int]:
-        """Key-path external sort over token objects: the scalar kernel's
-        path, and the reference :meth:`_sort_external_records` is
-        parity-tested against."""
-        device = self.store.device
-        names = self.codec.names
-        prepared: Iterable[Token]
-        if self.compact:
-            prepared = list(restore_end_tags(tokens))
-        else:
-            prepared = annotate_starts_from_ends(tokens)
-        if sort_levels is not None:
-            prepared = mask_keys_below(list(prepared), sort_levels)
-
-        # Run formation under the sorter's memory capacity.
-        options = self.options
-        embedded = options.embedded_keys
-        former = RunFormer(
-            self.store, self.capacity_bytes, options, tracer=self.tracer,
-            recovery=self.recovery,
-        )
-        with maybe_span(
-            self.tracer, "run-formation", mode=options.run_formation
-        ) as span:
-            for record in records_from_annotated_events(iter(prepared)):
-                encoded = encode_record(record, names)
-                sort_key = record.sort_key()
-                key = normalized_path_key(sort_key) if embedded else sort_key
-                device.stats.record_tokens(1)
-                former.add(key, encoded)
-            runs = former.finish()
-            if span is not None:
-                span.set(runs=len(runs))
-        self.run_lengths.extend(former.run_lengths)
-
-        if embedded:
-            key_of = embedded_key_of
-        else:
-
-            def key_of(encoded: bytes) -> tuple:
-                return decode_record(encoded, names).sort_key()
-
-        stream, _passes, _width = merge_to_stream(
-            self.store, runs, key_of, self.fan_in, options=options,
-            tracer=self.tracer, recovery=self.recovery,
-        )
-        if embedded:
-            decoded = (
-                decode_record(strip_embedded_key(record), names)
-                for record in stream
-            )
-        else:
-            decoded = (decode_record(record, names) for record in stream)
-        writer = self.store.create_writer("run_write")
-        count = 0
-        try:
-            for token in tokens_from_sorted_records(
-                decoded, base_level=base_level, emit_end_tags=not self.compact
-            ):
-                if not self.compact:
-                    # Plain-mode run tokens carry no levels.
-                    if token.__class__ is StartTag:
-                        token = StartTag(token.tag, token.attrs)
-                    elif token.__class__ is RunPointer:
-                        token = RunPointer(
-                            run_id=token.run_id,
-                            element_count=token.element_count,
-                            payload_bytes=token.payload_bytes,
-                        )
-                writer.write_record(self.codec.encode(token))
-                count += 1
-        except DeviceFault:
-            writer.abandon()
-            raise
-        device.stats.record_tokens(count)
         handle = writer.finish()
         return handle, handle.payload_bytes

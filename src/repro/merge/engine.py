@@ -45,9 +45,8 @@ from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
 MERGE_KERNELS = ("heap", "loser-tree")
-SORT_KERNELS = ("scalar", "columnar")
 
-#: Widest key prefix the columnar kernel will materialize per record.
+#: Widest key prefix the record kernel will materialize per record.
 #: Beyond this, a prefix array stops paying for itself (the full-key
 #: tie-break handles the tail either way).
 MAX_PREFIX_WIDTH = 256
@@ -61,7 +60,7 @@ class KeyOptions:
     """Knobs of the normalized-key representation.
 
     Attributes:
-        prefix_width: bytes of normalized key the columnar kernel packs
+        prefix_width: bytes of normalized key the record kernel packs
             into its fixed-width prefix array (argsort discriminates on
             the prefix; equal prefixes fall back to full-key comparison).
             Clamped to a multiple of 8 in ``[8, MAX_PREFIX_WIDTH]`` so the
@@ -106,11 +105,6 @@ class MergeOptions:
             *counted* comparisons - and counted in-memory sorts too).
         embedded_keys: prefix run records with a byte-comparable normalized
             key so merge passes never decode records.
-        kernel: ``scalar`` (the element-at-a-time reference path) or
-            ``columnar`` (batch kernels over contiguous normalized-key
-            buffers, :mod:`repro.core.columnar`).  The kernel choice is an
-            *implementation* knob: every I/O, comparison, and token counter
-            stays bit-identical between the two.
         keys: normalized-key layout knobs (:class:`KeyOptions`).
         compress: run-compression codec (``container`` or ``zlib``), or
             None to store runs uncompressed.  Compression alone changes
@@ -126,7 +120,6 @@ class MergeOptions:
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
     embedded_keys: bool = False
-    kernel: str = "scalar"
     keys: KeyOptions = field(default_factory=KeyOptions)
     compress: str | None = None
     compress_capacity: bool = False
@@ -141,11 +134,6 @@ class MergeOptions:
             raise SortSpecError(
                 f"unknown merge kernel {self.merge_kernel!r}; "
                 f"choose from {MERGE_KERNELS}"
-            )
-        if self.kernel not in SORT_KERNELS:
-            raise SortSpecError(
-                f"unknown sort kernel {self.kernel!r}; "
-                f"choose from {SORT_KERNELS}"
             )
         if self.compress is not None and self.compress not in CODEC_NAMES:
             raise SortSpecError(
@@ -170,10 +158,6 @@ class MergeOptions:
     def counted_comparisons(self) -> bool:
         """Real counted comparisons ride with the loser-tree kernel."""
         return self.loser_tree
-
-    @property
-    def columnar(self) -> bool:
-        return self.kernel == "columnar"
 
     @property
     def is_default(self) -> bool:
@@ -253,7 +237,7 @@ def dense_ranks(keys: list, order: list[int]) -> list[int]:
     ``keys[i] < keys[j]`` and ``ranks[i] == ranks[j]`` iff
     ``keys[i] == keys[j]``.  Any comparison sort run over the ranks
     therefore performs *exactly* the comparison sequence it would have
-    performed over the keys - which is what lets the columnar kernel
+    performed over the keys - which is what lets the record kernel
     batch counted sorts without perturbing the comparison charge.
     """
     ranks = [0] * len(keys)
@@ -274,8 +258,8 @@ def argsort_counted(ranks: list[int], stats) -> list[int]:
 
     Sorting ``range(n)`` by counted rank reproduces the comparison
     sequence of sorting the original items by counted key (see
-    :func:`dense_ranks`), so the charge matches the scalar per-group
-    ``sort_with_accounting(..., counted=True)`` path bit for bit while
+    :func:`dense_ranks`), so the charge matches a per-group
+    ``sort_with_accounting(..., counted=True)`` bit for bit while
     the expensive key derivation stays batched.
     """
     n = len(ranks)
@@ -568,18 +552,18 @@ class RunFormer:
         self._rehydrate_chunks()
         batch = self._batch
         stats = self.store.device.stats
+        keyed = bool(batch) and type(batch[0][0]) is bytes
         if (
-            self.options.columnar
+            keyed
             and not self.options.counted_comparisons
             and len(batch) > 1
-            and type(batch[0][0]) is bytes
         ):
-            # Columnar fast path: argsort over the fixed-width normalized
-            # key prefixes, full-key tie-break.  Ordering is identical to
-            # the scalar sort (keys are order-faithful bytes), and so is
-            # the analytic comparison charge.  Counted mode stays on the
-            # scalar sort so the recorded count is the one the comparison
-            # sequence actually produces.
+            # Argsort over the fixed-width normalized key prefixes,
+            # full-key tie-break.  Ordering is identical to a comparison
+            # sort (keys are order-faithful bytes), and so is the analytic
+            # comparison charge.  Counted mode and non-bytes keys keep the
+            # comparison sort, so the recorded count is the one the
+            # comparison sequence actually produces.
             from ..core.columnar import argsort_keyed_batch
 
             batch = argsort_keyed_batch(
@@ -594,11 +578,7 @@ class RunFormer:
         writer = self.store.create_writer(self.write_category)
         writer.write_records([payload for _key, payload in batch])
         handle = writer.finish()
-        if (
-            self.options.columnar
-            and batch
-            and type(batch[0][0]) is bytes
-        ):
+        if keyed:
             # Key sidecar (host memory only): merge passes over this run
             # can reuse these keys instead of re-parsing every record.
             self.store.key_sidecars[handle.run_id] = [
@@ -636,11 +616,7 @@ class RunFormer:
             self._close_open_run()
             self._writer = self.store.create_writer(self.write_category)
             self._writer_records = 0
-            self._writer_keys = (
-                []
-                if self.options.columnar and type(key) is bytes
-                else None
-            )
+            self._writer_keys = [] if type(key) is bytes else None
             self._run_index = run
         self._writer.write_record(payload)
         self._writer_records += 1

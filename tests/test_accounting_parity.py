@@ -19,19 +19,23 @@ The exhaustive test pins the full run-formation x merge-kernel x
 embedded-keys grid for both sorters; the hypothesis test fuzzes the
 memory budget, pool size, and document shape on top.
 
-The columnar kernel (ISSUE 6) has a stricter contract than the pool:
-``kernel="columnar"`` must leave *every* counter - reads, writes,
-sequential/random classification, tokens, comparisons, merge
-comparisons, cache traffic - and the per-phase trace breakdown
-bit-identical to the scalar path.  :class:`TestKernelParity` pins that
-across the same grid, pooled and unpooled, and the fuzz suite draws the
-kernel axis too.
+The record kernel has a stricter contract than the pool: it must
+reproduce *every* counter - reads, writes, sequential/random
+classification, tokens, comparisons, merge comparisons, cache traffic -
+the output bytes and the JSONL trace of the element-at-a-time kernel it
+replaced.  :class:`TestKernelParity` checks the same grid, pooled,
+unpooled and compacted, against the digests that kernel recorded
+(``tests/data/kernel_goldens.json``, see :mod:`tests.goldens`); the fuzz
+suite compares random documents with a stdlib ElementTree sort
+(:mod:`tests.reference_sort`).
 """
 
 import itertools
+import random
+import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import external_merge_sort
@@ -44,6 +48,9 @@ from repro.obs import Tracer
 from repro.xml.compact import CompactionConfig
 from repro.xml.document import Document
 
+from .goldens import assert_golden, sha256, trace_sha256
+from .reference_sort import canonical_text, reference_sort
+
 SPEC = SortSpec(default=ByAttribute("name"))
 
 GRID = list(
@@ -54,10 +61,11 @@ GRID = list(
     )
 )
 
-#: Compaction axis of the kernel-parity grid (Section 3.2): no
-#: compaction, name dictionary only, and the full config (dictionary +
-#: end-tag elimination).
-COMPACTION_MODES = [None, "names", "full"]
+ALGORITHMS = ["nexsort", "merge_sort"]
+
+#: Compaction axis of the kernel-parity grid (Section 3.2): name
+#: dictionary only, end-tag elimination only, and both.
+COMPACTION_MODES = ["names", "levels", "full"]
 
 
 def make_compaction(mode):
@@ -68,6 +76,62 @@ def make_compaction(mode):
     if mode == "levels":
         return CompactionConfig(names=None)
     return CompactionConfig()
+
+
+#: Characters of generated tag names, values and texts: ASCII, Latin-1,
+#: Greek, CJK, and the characters XML must escape.
+NAME_CHARS = "abcxyzABéßλ中ü"
+VALUE_CHARS = "ab zé<>&\"'λ中\u00a0"
+
+#: A depth past every shape's last branching level: makes a leaf.
+LEAF_DEPTH = 1000
+
+
+def random_document(shape: str, seed: int) -> str:
+    """A random document: ``deep`` chains, ``wide`` sibling lists, or
+    ``bushy`` trees; unicode tags, keys, texts and extra attributes.
+    Leaves may carry text, inner elements never do (no mixed content).
+    Keys repeat often (ties), are sometimes missing, and mix numbers
+    with strings."""
+    rng = random.Random(seed)
+
+    def word(chars, low, high):
+        return "".join(
+            rng.choice(chars) for _ in range(rng.randint(low, high))
+        )
+
+    def element(depth: int) -> ET.Element:
+        node = ET.Element("t" + word(NAME_CHARS, 0, 3))
+        roll = rng.random()
+        if roll < 0.7:
+            node.set(
+                "name",
+                str(rng.randint(-9, 9)) if roll < 0.25
+                else "k" + word(NAME_CHARS, 0, 2),
+            )
+        for index in range(rng.choice([0, 0, 1, 3, 6])):
+            node.set(f"a{index}{word(NAME_CHARS, 0, 1)}",
+                     word(VALUE_CHARS, 0, 8))
+        leaves = 0
+        if shape == "deep":
+            # A 40-deep chain with a few leaf siblings at every level.
+            fanout = 1 if depth < 40 else 0
+            leaves = rng.randint(0, 2) if fanout else 0
+        elif shape == "wide":
+            fanout = {1: rng.randint(40, 120), 2: rng.randint(0, 2)}.get(
+                depth, 0
+            )
+        else:
+            fanout = rng.randint(0, 6) if depth < 4 else 0
+        children = [element(depth + 1) for _ in range(fanout)]
+        children += [element(LEAF_DEPTH) for _ in range(leaves)]
+        rng.shuffle(children)
+        node.extend(children)
+        if not children and rng.random() < 0.5:
+            node.text = word(VALUE_CHARS, 1, 10)
+        return node
+
+    return ET.tostring(element(1), encoding="unicode")
 
 
 def sort_once(
@@ -96,7 +160,8 @@ def sort_traced(
     algorithm, memory, cache, options, fanouts=(6, 6, 6), seed=3,
     compaction=None,
 ):
-    """Like sort_once, plus the per-phase trace breakdown."""
+    """Digest of one traced sort: output bytes, every counter total,
+    formation run lengths and the JSONL trace."""
     device = BlockDevice(block_size=512)
     store = RunStore(device)
     document = Document.from_events(
@@ -106,7 +171,7 @@ def sort_traced(
     )
     tracer = Tracer(device.stats)
     sorter = nexsort if algorithm == "nexsort" else external_merge_sort
-    output, _report = sorter(
+    output, report = sorter(
         document,
         SPEC,
         memory_blocks=memory,
@@ -114,12 +179,56 @@ def sort_traced(
         merge_options=options,
         tracer=tracer,
     )
-    trace = tracer.finish()
-    return (
-        output.to_string(),
-        device.stats.snapshot().counter_totals(),
-        trace.phase_breakdown(),
+    return {
+        "output_sha256": sha256(output.to_string()),
+        "counters": device.stats.snapshot().counter_totals(),
+        "run_lengths": [report.avg_run_length, report.max_run_length],
+        "trace_sha256": trace_sha256(tracer.finish()),
+    }
+
+
+def unpooled_cell(algorithm, run_formation, merge_kernel, embedded_keys):
+    options = MergeOptions(
+        run_formation=run_formation,
+        merge_kernel=merge_kernel,
+        embedded_keys=embedded_keys,
     )
+    return (
+        f"{algorithm}/{run_formation}/{merge_kernel}/{embedded_keys}",
+        lambda: sort_traced(algorithm, 12, 0, options),
+    )
+
+
+def compacted_cell(algorithm, compaction, embedded_keys):
+    options = MergeOptions(embedded_keys=embedded_keys)
+    return (
+        f"{algorithm}/{compaction}/{embedded_keys}",
+        lambda: sort_traced(
+            algorithm, 12, 0, options, compaction=compaction
+        ),
+    )
+
+
+def pooled_cell(algorithm, embedded_keys):
+    options = MergeOptions(embedded_keys=embedded_keys)
+    return (
+        f"{algorithm}/{embedded_keys}",
+        lambda: sort_traced(algorithm, 16, 4, options),
+    )
+
+
+def golden_cells():
+    for algorithm in ALGORITHMS:
+        for combo in GRID:
+            yield ("parity/unpooled", *unpooled_cell(algorithm, *combo))
+        for compaction in COMPACTION_MODES:
+            for embedded_keys in (False, True):
+                yield (
+                    "parity/compacted",
+                    *compacted_cell(algorithm, compaction, embedded_keys),
+                )
+        for embedded_keys in (False, True):
+            yield ("parity/pooled", *pooled_cell(algorithm, embedded_keys))
 
 
 def assert_parity(unpooled, pooled):
@@ -138,7 +247,7 @@ def assert_parity(unpooled, pooled):
 
 
 class TestMergeOptionsGrid:
-    @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize(
         "run_formation,merge_kernel,embedded_keys", GRID
     )
@@ -159,99 +268,52 @@ class TestMergeOptionsGrid:
 
 
 class TestKernelParity:
-    """``kernel="columnar"`` is counter-transparent, bit for bit.
+    """The record kernel reproduces the recorded digests, bit for bit.
 
-    Unlike the pool contract (which may trade reads for hits), the
-    kernel axis allows no drift at all: same output bytes, same counter
-    totals including the sequential/random I/O split, same per-phase
-    breakdown.
+    Unlike the pool contract (which may trade reads for hits), this
+    allows no drift at all: same output bytes, same counter totals
+    including the sequential/random I/O split, same run lengths, same
+    trace.
     """
 
-    @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize(
         "run_formation,merge_kernel,embedded_keys", GRID
     )
     def test_columnar_matches_scalar_unpooled(
         self, algorithm, run_formation, merge_kernel, embedded_keys
     ):
-        scalar = sort_traced(
-            algorithm,
-            12,
-            0,
-            MergeOptions(
-                run_formation=run_formation,
-                merge_kernel=merge_kernel,
-                embedded_keys=embedded_keys,
-                kernel="scalar",
-            ),
+        cell, compute = unpooled_cell(
+            algorithm, run_formation, merge_kernel, embedded_keys
         )
-        columnar = sort_traced(
-            algorithm,
-            12,
-            0,
-            MergeOptions(
-                run_formation=run_formation,
-                merge_kernel=merge_kernel,
-                embedded_keys=embedded_keys,
-                kernel="columnar",
-            ),
-        )
-        assert columnar[0] == scalar[0]  # output document
-        assert columnar[1] == scalar[1]  # every counter total
-        assert columnar[2] == scalar[2]  # per-phase breakdown
+        assert_golden("parity/unpooled", cell, compute())
 
-    @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
-    @pytest.mark.parametrize("compaction", ["names", "levels", "full"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("compaction", COMPACTION_MODES)
     @pytest.mark.parametrize("embedded_keys", [False, True])
     def test_columnar_matches_scalar_compacted(
         self, algorithm, compaction, embedded_keys
     ):
-        """The kernel contract holds under Section 3.2 compaction too.
+        """The contract holds under Section 3.2 compaction too."""
+        cell, compute = compacted_cell(algorithm, compaction, embedded_keys)
+        assert_golden("parity/compacted", cell, compute())
 
-        ISSUE 7: ``kernel="columnar"`` no longer falls back to scalar on
-        dictionary-coded or end-tag-eliminated documents - and stays bit
-        identical on output, counters, and the per-phase breakdown.
-        """
-
-        def run(kernel):
-            return sort_traced(
-                algorithm,
-                12,
-                0,
-                MergeOptions(kernel=kernel, embedded_keys=embedded_keys),
-                compaction=compaction,
-            )
-
-        assert run("columnar") == run("scalar")
-
-    @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_columnar_matches_scalar_pooled(self, algorithm):
-        for kernel_options in ({}, {"embedded_keys": True}):
-            scalar = sort_traced(
-                algorithm,
-                16,
-                4,
-                MergeOptions(kernel="scalar", **kernel_options),
-            )
-            columnar = sort_traced(
-                algorithm,
-                16,
-                4,
-                MergeOptions(kernel="columnar", **kernel_options),
-            )
-            assert columnar == scalar
+        for embedded_keys in (False, True):
+            cell, compute = pooled_cell(algorithm, embedded_keys)
+            assert_golden("parity/pooled", cell, compute())
 
 
 class TestFuzzedParity:
     @settings(max_examples=12, deadline=None)
     @given(
-        algorithm=st.sampled_from(["nexsort", "merge_sort"]),
+        algorithm=st.sampled_from(ALGORITHMS),
         run_formation=st.sampled_from(
             ["load-sort", "replacement-selection"]
         ),
         merge_kernel=st.sampled_from(["heap", "loser-tree"]),
         embedded_keys=st.booleans(),
-        kernel=st.sampled_from(["scalar", "columnar"]),
         memory=st.integers(min_value=10, max_value=16),
         cache=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=1, max_value=4),
@@ -263,7 +325,6 @@ class TestFuzzedParity:
         run_formation,
         merge_kernel,
         embedded_keys,
-        kernel,
         memory,
         cache,
         seed,
@@ -273,7 +334,6 @@ class TestFuzzedParity:
             run_formation=run_formation,
             merge_kernel=merge_kernel,
             embedded_keys=embedded_keys,
-            kernel=kernel,
         )
         unpooled = sort_once(
             algorithm, memory, 0, options, fanouts=fanouts, seed=seed
@@ -288,46 +348,60 @@ class TestFuzzedParity:
         )
         assert_parity(unpooled, pooled)
 
-    @settings(max_examples=16, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        algorithm=st.sampled_from(["nexsort", "merge_sort"]),
+        algorithm=st.sampled_from(ALGORITHMS),
         run_formation=st.sampled_from(
             ["load-sort", "replacement-selection"]
         ),
         merge_kernel=st.sampled_from(["heap", "loser-tree"]),
         embedded_keys=st.booleans(),
-        memory=st.integers(min_value=10, max_value=16),
-        cache=st.integers(min_value=0, max_value=4),
-        seed=st.integers(min_value=1, max_value=4),
-        fanouts=st.sampled_from([(6, 6, 6), (4, 5, 6), (3, 4, 4, 3)]),
-        compaction=st.sampled_from([None, "names", "levels", "full"]),
+        compaction=st.sampled_from([None, *COMPACTION_MODES]),
+        compress=st.sampled_from([None, "container"]),
+        memory=st.integers(min_value=8, max_value=14),
+        text=st.builds(
+            random_document,
+            shape=st.sampled_from(["deep", "wide", "bushy"]),
+            seed=st.integers(min_value=0, max_value=10**6),
+        ),
     )
-    def test_kernels_bit_identical_fuzzed(
+    def test_matches_stdlib_reference_fuzzed(
         self,
         algorithm,
         run_formation,
         merge_kernel,
         embedded_keys,
-        memory,
-        cache,
-        seed,
-        fanouts,
         compaction,
+        compress,
+        memory,
+        text,
     ):
-        def run(kernel):
-            return sort_traced(
-                algorithm,
-                memory + cache,
-                cache,
-                MergeOptions(
-                    run_formation=run_formation,
-                    merge_kernel=merge_kernel,
-                    embedded_keys=embedded_keys,
-                    kernel=kernel,
-                ),
-                fanouts=fanouts,
-                seed=seed,
-                compaction=compaction,
+        """Random deep, wide, unicode and attribute-heavy documents sort
+        to what a stdlib ElementTree sort produces."""
+        # ROADMAP item 4: names-only compaction with compression and
+        # embedded keys crashes NEXSORT with RunCodecError.
+        assume(
+            not (
+                algorithm == "nexsort"
+                and compaction == "names"
+                and compress is not None
+                and embedded_keys
             )
-
-        assert run("columnar") == run("scalar")
+        )
+        store = RunStore(BlockDevice(block_size=256))
+        document = Document.from_string(
+            store, text, compaction=make_compaction(compaction)
+        )
+        sorter = nexsort if algorithm == "nexsort" else external_merge_sort
+        output, _report = sorter(
+            document,
+            SPEC,
+            memory_blocks=memory,
+            merge_options=MergeOptions(
+                run_formation=run_formation,
+                merge_kernel=merge_kernel,
+                embedded_keys=embedded_keys,
+                compress=compress,
+            ),
+        )
+        assert canonical_text(output.to_string()) == reference_sort(text)

@@ -177,6 +177,18 @@ class TestSortCommand:
         assert code == 0
         assert "<company>" in out.read_text()
 
+    def test_kernel_flag_accepts_only_columnar(self, d1_file, tmp_path):
+        plain = tmp_path / "plain.xml"
+        flagged = tmp_path / "flagged.xml"
+        assert main(["sort", d1_file, "-o", str(plain)]) == 0
+        assert main([
+            "sort", d1_file, "-o", str(flagged), "--kernel", "columnar",
+        ]) == 0
+        assert flagged.read_text() == plain.read_text()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sort", d1_file, "--kernel", "scalar"])
+        assert exit_info.value.code == 2
+
     def test_scratch_file_backing(self, d1_file, tmp_path):
         scratch = tmp_path / "scratch.bin"
         code = main(

@@ -37,6 +37,8 @@ from repro.merge.engine import (
 )
 from repro.xml import parse_events
 
+from .goldens import assert_golden, records_sha256
+
 SPEC = SortSpec(default=ByAttribute("name"))
 
 XML = (
@@ -184,7 +186,7 @@ def form_runs(options, capacity_bytes=220):
 
 class TestSidecars:
     def test_run_formation_attaches_sidecars(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert len(runs) > 1
         for run in runs:
@@ -196,7 +198,7 @@ class TestSidecars:
             ]
 
     def test_sidecars_match_embedded_keys(self):
-        options = MergeOptions(kernel="columnar", embedded_keys=True)
+        options = MergeOptions(embedded_keys=True)
         store, runs = form_runs(options)
         from repro.merge.engine import embedded_key_of
 
@@ -209,26 +211,22 @@ class TestSidecars:
             ]
 
     def test_custom_key_function_gets_no_sidecar(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert run_sidecar(store, runs[0], len) is None
         assert merge_sidecars(store, runs, len) is None
 
     def test_freed_run_drops_sidecar(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert runs[0].run_id in store.key_sidecars
         store.free(runs[0])
         assert runs[0].run_id not in store.key_sidecars
 
-    def test_scalar_kernel_attaches_no_sidecars(self):
-        store, _runs = form_runs(MergeOptions())
-        assert store.key_sidecars == {}
-
 
 class TestKeyedPuller:
     def test_sidecar_and_batch_keys_agree(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         run = runs[0]
         sidecar = run_sidecar(store, run, fast_path_key)
@@ -259,7 +257,7 @@ class TestReplayMerge:
         from repro.baselines.merging import merge_pass
         from repro.merge.engine import embedded_key_of
 
-        options = MergeOptions(kernel="columnar", embedded_keys=embedded)
+        options = MergeOptions(embedded_keys=embedded)
         key_of = embedded_key_of if embedded else fast_path_key
 
         store, runs = form_runs(options)
@@ -276,62 +274,64 @@ class TestReplayMerge:
         )
         assert replayed == fallback
 
-        # And the scalar kernel agrees record for record.
-        store3, runs3 = form_runs(MergeOptions(embedded_keys=embedded))
-        scalar = list(
-            merge_pass(
-                store3,
-                runs3,
-                key_of,
-                options=MergeOptions(embedded_keys=embedded),
-            )
+
+def compacted_scan_cell(mode, fused=True):
+    """Runs formed from a compacted document by the fused scan, or
+    (``fused=False``) by the tokenize -> key-evaluate -> encode pipeline
+    the recorded digests were taken from."""
+    from repro.xml import CompactionConfig, Document
+
+    def compute():
+        if mode == "names":
+            compaction = CompactionConfig(eliminate_end_tags=False)
+        elif mode == "levels":
+            compaction = CompactionConfig(names=None)
+        else:
+            compaction = CompactionConfig()
+        device = BlockDevice(block_size=128)
+        store = RunStore(device)
+        document = Document.from_events(
+            store, parse_events(XML), compaction=compaction
         )
-        assert replayed == scalar
+        former = RunFormer(store, 600, MergeOptions())
+        if fused:
+            assert form_runs_columnar(document, SPEC, former, device)
+        else:
+            names = document.compaction.names
+            annotated = KeyEvaluator(SPEC).annotate(
+                document.iter_events("input_scan")
+            )
+            for record in records_from_annotated_events(annotated):
+                device.stats.record_tokens(1)
+                former.add(record.sort_key(), encode_record(record, names))
+        runs = former.finish()
+        return {
+            "runs_sha256": [
+                records_sha256(store.open_reader(run)) for run in runs
+            ],
+            "counters": device.stats.snapshot().counter_totals(),
+        }
+
+    return mode, compute
+
+
+def golden_cells():
+    for mode in ("names", "levels", "full"):
+        yield ("columnar/compacted-scan", *compacted_scan_cell(mode, False))
 
 
 class TestFusedScan:
     @pytest.mark.parametrize("mode", ["names", "levels", "full"])
     def test_compacted_document_fast_path_matches_scalar(self, mode):
-        """Compacted documents no longer fall back (ISSUE 7).
+        """Compacted documents take the fused scan too.
 
-        The fused scan handles dictionary-coded and level-annotated
-        (end-tag-eliminated) storage directly, forming byte-identical
-        runs - same records, same order, same counters - as the scalar
-        tokenize -> key-evaluate -> encode pipeline.
+        It handles dictionary-coded and level-annotated (end-tag-
+        eliminated) storage directly, forming the runs - same records,
+        same order, same counters - that the recorded tokenize ->
+        key-evaluate -> encode pipeline formed.
         """
-        from repro.xml import CompactionConfig, Document
-
-        def compaction():
-            if mode == "names":
-                return CompactionConfig(eliminate_end_tags=False)
-            if mode == "levels":
-                return CompactionConfig(names=None)
-            return CompactionConfig()
-
-        def scan(kernel):
-            device = BlockDevice(block_size=128)
-            store = RunStore(device)
-            document = Document.from_events(
-                store, parse_events(XML), compaction=compaction()
-            )
-            former = RunFormer(store, 600, MergeOptions(kernel=kernel))
-            if kernel == "columnar":
-                assert form_runs_columnar(document, SPEC, former, device)
-            else:
-                names = document.compaction.names
-                annotated = KeyEvaluator(SPEC).annotate(
-                    document.iter_events("input_scan")
-                )
-                for record in records_from_annotated_events(annotated):
-                    device.stats.record_tokens(1)
-                    former.add(
-                        record.sort_key(), encode_record(record, names)
-                    )
-            runs = former.finish()
-            contents = [list(store.open_reader(run)) for run in runs]
-            return contents, device.stats.snapshot().counter_totals()
-
-        assert scan("columnar") == scan("scalar")
+        cell, compute = compacted_scan_cell(mode)
+        assert_golden("columnar/compacted-scan", cell, compute())
 
     def test_non_start_computable_spec_falls_back(self):
         from repro.keys import ByText
@@ -341,7 +341,7 @@ class TestFusedScan:
         store = RunStore(device)
         document = Document.from_events(store, parse_events(XML))
         former = RunFormer(
-            store, 600, MergeOptions(kernel="columnar")
+            store, 600, MergeOptions()
         )
         spec = SortSpec(default=ByText())
         assert not form_runs_columnar(document, spec, former, device)

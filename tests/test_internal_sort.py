@@ -9,6 +9,7 @@ from repro.keys import ByAttribute, SortSpec
 from repro.xml import Element
 
 from .conftest import random_tree
+from .goldens import assert_golden, sha256
 
 
 def spec():
@@ -81,27 +82,43 @@ class TestSortElement:
         assert comparison_count(Element("leaf")) == 0
 
 
+def random_tree_cell(seed):
+    tree = random_tree(seed, text_leaves=True)
+    return str(seed), lambda: sha256(sort_element(tree, spec()).canonical())
+
+
+def depth_limit_cell(limit):
+    tree = random_tree(4)
+    return str(limit), lambda: sha256(
+        sort_element(tree, spec(), depth_limit=limit).canonical()
+    )
+
+
+def golden_cells():
+    for seed in range(8):
+        yield ("internal/random-trees", *random_tree_cell(seed))
+    for limit in (None, 1, 2):
+        yield ("internal/depth-limit", *depth_limit_cell(limit))
+
+
 class TestColumnarKernel:
-    """kernel="columnar" batches every child-list sort (ISSUE 7)."""
+    """Child lists sort in one batch; the trees match the digests the
+    per-list sort recorded."""
 
     def test_matches_scalar_on_random_trees(self):
         for seed in range(8):
-            tree = random_tree(seed, text_leaves=True)
-            assert sort_element(tree, spec(), kernel="columnar") == (
-                sort_element(tree, spec())
-            )
+            cell, compute = random_tree_cell(seed)
+            assert_golden("internal/random-trees", cell, compute())
 
     def test_matches_scalar_with_depth_limit(self):
-        tree = random_tree(4)
         for limit in (None, 1, 2):
-            assert sort_element(
-                tree, spec(), depth_limit=limit, kernel="columnar"
-            ) == sort_element(tree, spec(), depth_limit=limit)
+            cell, compute = depth_limit_cell(limit)
+            assert_golden("internal/depth-limit", cell, compute())
 
     def test_in_place_columnar(self):
         tree = random_tree(6)
         expected = sort_element(tree, spec())
-        sort_element_in_place(tree, spec(), kernel="columnar")
+        sort_element_in_place(tree, spec())
         assert tree == expected
 
     def test_stability_on_equal_keys(self):
@@ -109,6 +126,6 @@ class TestColumnarKernel:
             '<r><a name="k" id="1"/><a name="k" id="2"/>'
             '<a name="a"/></r>'
         )
-        result = sort_element(tree, spec(), kernel="columnar")
-        ids = [c.attrs.get("id") for c in result.children]
+        sort_element_in_place(tree, spec())
+        ids = [c.attrs.get("id") for c in tree.children]
         assert ids == [None, "1", "2"]

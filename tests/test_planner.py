@@ -163,26 +163,6 @@ class TestBenchRegression:
                 f"{'on' if expect_on else 'off'}"
             )
 
-    def test_kernel_algorithm_choice(self):
-        data = bench("kernel")
-        rows = [r for r in data["rows"] if r["workload"] == "fig5-1e5"]
-        element_bytes = 65536 * 96 / rows[0]["element_count"]
-        profile = DocumentProfile.from_fanouts(
-            [11, 11, 11, 75], block_size=65536,
-            element_bytes=element_bytes,
-        )
-        planner = Planner(profile, memory_blocks=48, block_size=65536)
-        configs, measured = {}, {}
-        for row in rows:
-            key = (row["algorithm"], row["kernel"])
-            configs[key] = PlanConfig(
-                algorithm=row["algorithm"],
-                memory_blocks=48,
-                kernel=row["kernel"],
-            )
-            measured[key] = row["simulated_seconds"]
-        assert_pick_near_optimum("kernel", planner, configs, measured)
-
     def test_striping_disk_sweep(self):
         # The striping objective is busiest-disk time: total I/Os rise
         # with D (stripe bookkeeping) while elapsed time falls, so the
@@ -299,13 +279,11 @@ class TestPlannerContract:
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
             embedded_keys=True,
-            kernel="columnar",
         )
         assert config.merge_options() == MergeOptions(
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
             embedded_keys=True,
-            kernel="columnar",
         )
 
     def test_validate_rejects_bad_configs(self):
@@ -313,7 +291,6 @@ class TestPlannerContract:
             PlanConfig(algorithm="quicksort"),
             PlanConfig(run_formation="bogus"),
             PlanConfig(merge_kernel="bogus"),
-            PlanConfig(kernel="bogus"),
             PlanConfig(memory_blocks=4, cache_blocks=3),
             PlanConfig(threshold_blocks=0),
             PlanConfig(disks=0),

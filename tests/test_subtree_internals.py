@@ -6,10 +6,8 @@ import pytest
 
 from repro.core.subtree import (
     SubtreeSorter,
-    annotate_starts_from_ends,
     build_subtree,
     count_units,
-    mask_keys_below,
     serialize_node_tree,
     sort_node_tree,
 )
@@ -27,6 +25,8 @@ from repro.xml.tokens import (
     number_key,
     string_key,
 )
+
+from .goldens import assert_golden, records_sha256, sha256, trace_sha256
 
 
 def plain_tokens():
@@ -149,28 +149,6 @@ class TestHelpers:
         assert units == 4  # r, a, pointer, b
         assert real == 3 + 4  # three real starts + pointer's 4 elements
 
-    def test_annotate_starts_from_ends(self):
-        tokens = [
-            StartTag("r", pos=0),
-            StartTag("a", pos=1),
-            EndTag("a", key=string_key("k1"), pos=1),
-            EndTag("r", key=string_key("k0"), pos=0),
-        ]
-        fixed = annotate_starts_from_ends(tokens)
-        assert fixed[0].key == string_key("k0")
-        assert fixed[1].key == string_key("k1")
-
-    def test_mask_keys_below(self):
-        masked = mask_keys_below(plain_tokens(), sort_levels=1)
-        # Root (level 1) keeps its key; children (level 2) are masked.
-        assert masked[0].key == number_key(5)
-        child_starts = [
-            t
-            for t in masked[1:]
-            if isinstance(t, (StartTag, RunPointer))
-        ]
-        assert all(t.key == MISSING_KEY for t in child_starts)
-
 
 class TestSorterDispatch:
     def make_sorter(self, capacity_bytes):
@@ -216,7 +194,7 @@ def sibling_case(name):
         ]
     elif name == "single-child-chain":
         # Every sibling list has one child: nothing to sort, all levels
-        # visited (n == 1 groups are skipped by both kernels).
+        # visited (n == 1 groups are skipped).
         inner = element("leaf", string_key("z"), text="deep")
         for depth in range(30):
             inner = element(f"n{depth}", number_key(depth), [inner])
@@ -305,30 +283,66 @@ def compact_subtree_tokens(plain):
     return out
 
 
+def sort_subtree(sorter, records, size, base_level, sort_levels, tokens):
+    """Sort one subtree from its records, or (``tokens``) from decoded
+    tokens - the path the recorded digests were taken from."""
+    if tokens:
+        decoded = [sorter.codec.decode(record) for record in records]
+        return sorter.sort_tokens(decoded, size, base_level, sort_levels)
+    return sorter.sort_records(records, size, base_level, sort_levels)
+
+
+def sibling_group_cell(name, sort_levels):
+    def compute():
+        device = BlockDevice(block_size=256)
+        root = build_subtree(sibling_case(name), compact=False)
+        sort_node_tree(root, sort_levels, device.stats)
+        codec = TokenCodec()
+        return {
+            "tokens_sha256": records_sha256(
+                codec.encode(token)
+                for token in serialize_node_tree(root, 1, compact=False)
+            ),
+            "comparisons": device.stats.comparisons,
+        }
+
+    return f"{name}/{sort_levels}", compute
+
+
+def sort_records_cell(name, compact, names_coded, tokens=False):
+    plain = sibling_case(name)
+    subtree = compact_subtree_tokens(plain) if compact else plain
+    codec = TokenCodec(NameDictionary() if names_coded else None)
+    records = [codec.encode(token) for token in subtree]
+
+    def compute():
+        device = BlockDevice(block_size=256)
+        store = RunStore(device)
+        sorter = SubtreeSorter(
+            store, codec, compact, capacity_bytes=10**6, fan_in=2,
+            options=MergeOptions(),
+        )
+        result = sort_subtree(sorter, records, 500, 1, None, tokens)
+        return {
+            "run_sha256": records_sha256(store.open_reader(result.run)),
+            "counters": device.stats.snapshot().counter_totals(),
+            "result": [
+                result.units, result.real_elements, result.payload_bytes,
+                result.root_key, result.root_pos, result.internal,
+            ],
+        }
+
+    return f"{name}/{compact}/{names_coded}", compute
+
+
 class TestColumnarSiblingGroups:
-    """sort_node_tree / sort_records columnar parity (ISSUE 7)."""
+    """sort_node_tree / sort_records against the recorded digests."""
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("sort_levels", [None, 1, 0])
     def test_sort_node_tree_kernel_parity(self, name, sort_levels):
-        tokens = sibling_case(name)
-        scalar_dev = BlockDevice(block_size=256)
-        columnar_dev = BlockDevice(block_size=256)
-        scalar_root = build_subtree(tokens, compact=False)
-        columnar_root = build_subtree(tokens, compact=False)
-        sort_node_tree(scalar_root, sort_levels, scalar_dev.stats)
-        sort_node_tree(
-            columnar_root,
-            sort_levels,
-            columnar_dev.stats,
-            kernel="columnar",
-        )
-        assert list(
-            serialize_node_tree(columnar_root, 1, compact=False)
-        ) == list(serialize_node_tree(scalar_root, 1, compact=False))
-        assert (
-            columnar_dev.stats.comparisons == scalar_dev.stats.comparisons
-        )
+        cell, compute = sibling_group_cell(name, sort_levels)
+        assert_golden("subtree/sibling-groups", cell, compute())
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("compact", [False, True])
@@ -336,54 +350,10 @@ class TestColumnarSiblingGroups:
     def test_sort_records_matches_sort_tokens(
         self, name, compact, names_coded
     ):
-        """The fused raw-record path equals decode -> sort_tokens, bit
-        for bit: run contents, counters, and the RunPointer summary."""
-        plain = sibling_case(name)
-        tokens = compact_subtree_tokens(plain) if compact else plain
-        names = NameDictionary() if names_coded else None
-        codec = TokenCodec(names)
-        records = [codec.encode(token) for token in tokens]
-
-        def run(kernel):
-            device = BlockDevice(block_size=256)
-            store = RunStore(device)
-            sorter = SubtreeSorter(
-                store,
-                codec,
-                compact,
-                capacity_bytes=10**6,
-                fan_in=2,
-                options=MergeOptions(kernel=kernel),
-            )
-            if kernel == "columnar":
-                result = sorter.sort_records(records, 500, 1, None)
-            else:
-                result = sorter.sort_tokens(
-                    [codec.decode(record) for record in records],
-                    500,
-                    1,
-                    None,
-                )
-            contents = list(store.open_reader(result.run))
-            return contents, result, device.stats.snapshot()
-
-        columnar_contents, columnar_result, columnar_stats = run("columnar")
-        scalar_contents, scalar_result, scalar_stats = run("scalar")
-        assert columnar_contents == scalar_contents
-        assert columnar_stats.counter_totals() == (
-            scalar_stats.counter_totals()
-        )
-        for field in (
-            "units",
-            "real_elements",
-            "payload_bytes",
-            "root_key",
-            "root_pos",
-            "internal",
-        ):
-            assert getattr(columnar_result, field) == getattr(
-                scalar_result, field
-            ), field
+        """The fused raw-record path reproduces the token path's run
+        contents, counters and RunPointer summary, bit for bit."""
+        cell, compute = sort_records_cell(name, compact, names_coded)
+        assert_golden("subtree/sort-records", cell, compute())
 
     def test_sort_records_root_key_from_end_tag(self):
         """Plain-mode subtree-evaluated keys ride on the end tag; the
@@ -404,7 +374,7 @@ class TestColumnarSiblingGroups:
             compact=False,
             capacity_bytes=10**6,
             fan_in=2,
-            options=MergeOptions(kernel="columnar"),
+            options=MergeOptions(),
         )
         result = sorter.sort_records(records, 100, 1, None)
         assert result.root_key == string_key("late")
@@ -432,10 +402,8 @@ class TestColumnarSiblingGroups:
             result = sorter.sort_records(records, 500, 1, None)
             return list(store.open_reader(result.run)), device.stats
 
-        counted = MergeOptions(
-            kernel="columnar", merge_kernel="loser-tree"
-        )
-        analytic = MergeOptions(kernel="columnar")
+        counted = MergeOptions(merge_kernel="loser-tree")
+        analytic = MergeOptions()
         counted_contents, counted_stats = run(counted)
         analytic_contents, analytic_stats = run(analytic)
         assert counted_contents == analytic_contents
@@ -550,27 +518,27 @@ EXTERNAL_GRID = [
 ]
 
 
-class TestExternalSubtreeByteParity:
-    """The columnar external subtree sort (byte splicing) against the
-    token path (``sort_tokens`` -> ``_sort_external``), bit for bit: run
-    contents, the result summary, every counter, formation run lengths
-    and the trace."""
+def external_cell(
+    compact, names, embedded, sort_levels, subtree_evaluated, formation,
+    compress, tokens=False,
+):
+    from repro.io.compress import CompressionConfig
+    from repro.obs import Tracer
 
-    @staticmethod
-    def run(tokens, compact, names, options, sort_levels, fused):
-        from io import StringIO
+    plain = external_subtree_tokens(subtree_evaluated)
+    subtree = compact_subtree_tokens(plain) if compact else plain
+    options = MergeOptions(
+        embedded_keys=embedded, run_formation=formation, compress=compress,
+    )
 
-        from repro.io.compress import CompressionConfig
-        from repro.obs import Tracer
-        from repro.obs.sinks import write_jsonl
-
+    def compute():
         codec = TokenCodec(NameDictionary() if names else None)
-        records = [codec.encode(token) for token in tokens]
+        records = [codec.encode(token) for token in subtree]
         device = BlockDevice(block_size=256)
         store = RunStore(device)
-        if options.compress is not None:
+        if compress is not None:
             store.compression = CompressionConfig(
-                codec=options.compress, embedded_keys=options.embedded_keys,
+                codec=compress, embedded_keys=embedded,
             )
         tracer = Tracer(device.stats)
         sorter = SubtreeSorter(
@@ -579,22 +547,33 @@ class TestExternalSubtreeByteParity:
         )
         size = sum(len(record) for record in records)
         with tracer.span("subtree-sort"):
-            if fused:
-                result = sorter.sort_records(records, size, 2, sort_levels)
-            else:
-                result = sorter.sort_tokens(
-                    [codec.decode(record) for record in records], size, 2,
-                    sort_levels,
-                )
-        trace = StringIO()
-        write_jsonl(tracer.finish(), trace)
-        return (
-            list(store.open_reader(result.run)),
-            result,
-            device.stats.snapshot().counter_totals(),
-            sorter.run_lengths,
-            trace.getvalue(),
+            result = sort_subtree(
+                sorter, records, size, 2, sort_levels, tokens
+            )
+        run = list(store.open_reader(result.run))
+        return {
+            "run_sha256": records_sha256(run),
+            "result_sha256": sha256(repr(result)),
+            "counters": device.stats.snapshot().counter_totals(),
+            "run_lengths": sorter.run_lengths,
+            "trace_sha256": trace_sha256(tracer.finish()),
+            "external": not result.internal,
+            "pointers": any(record[0] == 4 for record in run),
+        }
+
+    cell = "/".join(
+        str(axis) for axis in (
+            compact, names, embedded, sort_levels, subtree_evaluated,
+            formation, compress,
         )
+    )
+    return cell, compute
+
+
+class TestExternalSubtreeByteParity:
+    """The external subtree sort (byte splicing) against the digests
+    the token path recorded, bit for bit: run contents, the result
+    summary, every counter, formation run lengths and the trace."""
 
     @pytest.mark.parametrize(
         "compact,names,embedded,sort_levels,subtree_evaluated,formation,"
@@ -605,29 +584,28 @@ class TestExternalSubtreeByteParity:
         self, compact, names, embedded, sort_levels, subtree_evaluated,
         formation, compress,
     ):
-        plain = external_subtree_tokens(subtree_evaluated)
-        tokens = compact_subtree_tokens(plain) if compact else plain
-        options = MergeOptions(
-            kernel="columnar", embedded_keys=embedded,
-            run_formation=formation, compress=compress,
+        cell, compute = external_cell(
+            compact, names, embedded, sort_levels, subtree_evaluated,
+            formation, compress,
         )
-        fused = self.run(tokens, compact, names, options, sort_levels, True)
-        token = self.run(tokens, compact, names, options, sort_levels, False)
-        scalar = self.run(
-            tokens, compact, names,
-            MergeOptions(
-                kernel="scalar", embedded_keys=embedded,
-                run_formation=formation, compress=compress,
-            ),
-            sort_levels, False,
-        )
-        assert not fused[1].internal
+        digest = compute()
+        assert digest["external"]
+        assert digest["pointers"]
         if formation == "load-sort":
-            assert len(fused[3]) > 3  # several formation runs: real merges
-        assert any(record[0] == 4 for record in fused[0])  # pointers
-        for reference in (token, scalar):
-            assert fused[0] == reference[0]  # run bytes
-            assert fused[1] == reference[1]  # run handle and summary
-            assert fused[2] == reference[2]  # every counter
-            assert fused[3] == reference[3]  # formation run lengths
-            assert fused[4] == reference[4]  # trace
+            # Several formation runs: real merges.
+            assert len(digest["run_lengths"]) > 3
+        assert_golden("subtree/external", cell, digest)
+
+
+def golden_cells():
+    for name in SIBLING_CASES:
+        for sort_levels in (None, 1, 0):
+            yield ("subtree/sibling-groups",
+                   *sibling_group_cell(name, sort_levels))
+        for compact in (False, True):
+            for names_coded in (False, True):
+                yield ("subtree/sort-records", *sort_records_cell(
+                    name, compact, names_coded, tokens=True,
+                ))
+    for axes in EXTERNAL_GRID:
+        yield ("subtree/external", *external_cell(*axes, tokens=True))

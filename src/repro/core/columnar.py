@@ -77,6 +77,7 @@ from ..xml.codec import (
     encode_key_atom,
     encode_varint,
     read_varint,
+    string_frame,
     write_varint,
 )
 from ..xml.tokens import StartTag
@@ -1123,7 +1124,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
             elif token_type == TYPE_TEXT:
                 if record[1]:
                     token = document.codec.decode(record)
-                    frame = _frame_string(token.text)
+                    frame = string_frame(token.text)
                 else:
                     frame = record[2:]
                 if text_stack:
@@ -1277,11 +1278,6 @@ def _frame_payload(frame: bytes) -> bytes:
     """Strip the varint length header of a string frame."""
     _, pos = _read_varint_fast(frame, 0)
     return frame[pos:]
-
-
-def _frame_string(text: str) -> bytes:
-    encoded = text.encode("utf-8")
-    return varint_bytes(len(encoded)) + encoded
 
 
 # -- fused internal subtree sorts ----------------------------------------------

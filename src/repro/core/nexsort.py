@@ -45,6 +45,7 @@ from ..xml.codec import (
     TYPE_POINTER,
     TYPE_START,
     TYPE_TEXT,
+    is_pointer_record,
     read_varint,
     write_varint,
 )
@@ -296,7 +297,6 @@ class NexSorter:
             start_keyed = self.spec.start_computable
 
             evaluator = KeyEvaluator(self.spec)
-            root_pointer: RunPointer | None = None
 
             # Fused scan: annotate stored records by byte splicing
             # instead of decode -> KeyEvaluator -> encode.  Start-
@@ -350,9 +350,8 @@ class NexSorter:
 
                 # The data stack now holds exactly the root pointer.
                 assert self._open_partial is None, "unclosed partial run"
-                root_record = data_stack.pop()
-                root_pointer = codec.decode(root_record)
-                assert isinstance(root_pointer, RunPointer)
+                root_pointer = data_stack.pop()
+                assert is_pointer_record(root_pointer)
             report.data_stack_page_ins = data_stack.page_ins
             report.data_stack_page_outs = data_stack.page_outs
             report.path_stack_page_ins = path_stack.page_ins

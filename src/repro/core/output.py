@@ -25,22 +25,22 @@ tokens inside runs already carry no sorting annotations).
 
 from __future__ import annotations
 
-from ..errors import RunError
 from ..io.runs import _LEN, RunHandle, RunStore
 from ..io.stacks import ExternalStack
 from ..xml.codec import (
-    TokenCodec,
     is_pointer_record,
+    pointer_run_id,
     read_varint,
     write_varint,
 )
-from ..xml.tokens import RunPointer
 
 
 def output_phase(
-    store: RunStore, root_pointer: RunPointer, tracer=None
+    store: RunStore, root_pointer: bytes, tracer=None
 ) -> tuple[RunHandle, int, int]:
     """Expand the tree of sorted runs into the final output document.
+
+    ``root_pointer`` is the encoded RunPointer record of the root run.
 
     Returns (output run handle, output-location-stack page-ins, page-outs).
     The output-location stack uses one block of memory; nested run
@@ -56,14 +56,13 @@ def output_phase(
     """
     device = store.device
     pool = store.pool
-    codec = TokenCodec()  # only used to decode pointer records
     location_stack = ExternalStack(store.io_target, 1, "output_stack")
     writer = store.create_writer("output")
 
     # Readahead is explicitly off: the traversal jumps between runs, so
     # prefetched blocks would be evicted before they are consumed.  The
     # pool still serves the resume re-reads (pinned below) from cache.
-    current = store.get(root_pointer.run_id)
+    current = store.get(pointer_run_id(root_pointer))
     reader = store.open_reader(current, category="run_read", readahead=0)
     finished_runs = []
     # Parallel to the location stack: the pinned resume block per open
@@ -91,13 +90,11 @@ def output_phase(
     def descend(pointer_record: bytes, offset: int) -> None:
         """Jump into a nested run, saving the post-pointer offset."""
         nonlocal current, reader
-        pointer = codec.decode(pointer_record)
-        if not isinstance(pointer, RunPointer):  # pragma: no cover
-            raise RunError("corrupt run: bad pointer record")
+        run_id = pointer_run_id(pointer_record)
         location_stack.push(_encode_location(current.run_id, offset))
         if pool is not None:
             pinned.append(_pin_resume_block(pool, current, offset))
-        current = store.get(pointer.run_id)
+        current = store.get(run_id)
         reader = store.open_reader(
             current, category="run_read", readahead=0
         )

@@ -438,15 +438,12 @@ class SubtreeSorter:
             )
             counts.append((units, real))
             writer = self.store.create_writer("run_write")
-            count = 0
             try:
-                for record in out:
-                    writer.write_record(record)
-                    count += 1
+                writer.write_records(out)
             except DeviceFault:
                 writer.abandon()
                 raise
-            stats.record_tokens(count)
+            stats.record_tokens(len(out))
             handle = writer.finish()
             return handle, handle.payload_bytes
 

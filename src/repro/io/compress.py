@@ -37,7 +37,8 @@ table, decode one segment) and bounds the decode working set.
 The same record packing doubles as the service wire format
 (:func:`encode_document_wire` / :func:`decode_document_wire`): a job's
 token stream is dictionary-coded, container-split, and checksummed into
-one compact submission blob that decodes to the *exact* original tokens.
+one compact submission blob that decodes to plain-dialect records of the
+*exact* original tokens.
 
 Simulated-cost accounting lives with the callers: writers charge
 :meth:`~repro.io.stats.IOStats.record_compression` per raw byte in,
@@ -55,10 +56,15 @@ from typing import Iterable
 
 from ..errors import RunCodecError
 from ..xml.codec import (
+    TYPE_END,
+    TYPE_START,
     TYPE_TEXT,
     TokenCodec,
     encode_varint,
+    end_fields,
     read_varint,
+    start_fields,
+    text_fields,
     write_varint,
 )
 
@@ -485,8 +491,8 @@ def encode_document_wire(events, codec: str = "container") -> bytes:
 
     Tokens are dictionary-coded (the name table ships in the blob) and
     container-split with the run codec; :func:`decode_document_wire`
-    returns tokens *equal* to the originals - the wire format is exact,
-    not merely digest-identical.
+    returns records that decode to tokens *equal* to the originals - the
+    wire format is exact, not merely digest-identical.
     """
     from ..xml.compact import NameDictionary
 
@@ -510,10 +516,17 @@ def encode_document_wire(events, codec: str = "container") -> bytes:
     return bytes(out)
 
 
-def decode_document_wire(blob: bytes):
-    """Decode a wire blob back to the exact submitted token list."""
-    from ..xml.compact import NameDictionary
+def decode_document_wire(blob: bytes) -> list[bytes]:
+    """Decode a wire blob to store-ready plain-dialect token records.
 
+    The records are byte for byte what :class:`TokenCodec` without a
+    name dictionary encodes for the submitted tokens, so
+    :meth:`~repro.xml.document.Document.from_records` stores them as
+    :meth:`~repro.xml.document.Document.from_events` stores the tokens.
+    Each dictionary id is replaced by its name's frame, which the wire's
+    name table already holds as ``varint(len) + UTF-8``; no token object
+    is built.
+    """
     if blob[: len(_WIRE_MAGIC)] != _WIRE_MAGIC:
         raise RunCodecError("bad wire magic")
     try:
@@ -525,21 +538,70 @@ def decode_document_wire(blob: bytes):
         table = blob[pos:table_end]
         pos = table_end
         count, tpos = read_varint(table, 0)
-        names = []
+        frames = []
         for _ in range(count):
-            length, tpos = read_varint(table, tpos)
-            names.append(table[tpos : tpos + length].decode("utf-8"))
-            tpos += length
+            length, start = read_varint(table, tpos)
+            end = start + length
+            if end > len(table):
+                raise RunCodecError("truncated wire name table")
+            table[start:end].decode("utf-8")  # names must be valid text
+            frames.append(table[tpos:end])
+            tpos = end
         body_len, pos = read_varint(blob, pos)
         if pos + body_len != len(blob):
             raise RunCodecError("wire body length mismatch")
-        records = decode_records(blob[pos:])
+        return _plain_records(decode_records(blob[pos:]), frames)
     except RunCodecError:
         raise
     except Exception as exc:
         raise RunCodecError(f"corrupt wire blob: {exc}") from exc
-    token_codec = TokenCodec(NameDictionary(names))
-    return [token_codec.decode(record) for record in records]
+
+
+#: Most distinct start and end records one wire decode keeps
+#: rewritten.
+_PLAIN_CACHE_LIMIT = 1 << 14
+
+
+def _plain_records(records: list[bytes], frames: list[bytes]) -> list[bytes]:
+    """Dictionary-coded token records rewritten with plain name frames.
+
+    Every record is walked and its strings checked as UTF-8, so a blob
+    whose records do not decode fails here, at ingest, as the token
+    decode it replaces would have failed.  Start and end records are
+    rewritten once per distinct record: a job repeats them wherever
+    elements share a tag and attribute values.
+    """
+    plain: dict[bytes, bytes] = {}
+    out = []
+    put = out.append
+    for record in records:
+        kind = record[0]
+        if kind == TYPE_TEXT:
+            start, end, _ = text_fields(record)
+            record[start:end].decode("utf-8")
+            put(record)
+            continue
+        rewritten = plain.get(record)
+        if rewritten is None:
+            if kind == TYPE_START:
+                tag, attrs, annotations, _, _ = start_fields(record, True)
+                parts = [record[:2], frames[tag], encode_varint(len(attrs))]
+                for name, start, end in attrs:
+                    value = record[start:end]
+                    value.decode("utf-8")
+                    parts += (frames[name], encode_varint(end - start), value)
+                parts.append(record[annotations:])
+                rewritten = b"".join(parts)
+            elif kind == TYPE_END:
+                tag, annotations = end_fields(record, True)
+                rewritten = record[:2] + frames[tag] + record[annotations:]
+            else:
+                raise RunCodecError(f"unexpected wire record type {kind}")
+            if len(plain) >= _PLAIN_CACHE_LIMIT:
+                plain.clear()
+            plain[record] = rewritten
+        put(rewritten)
+    return out
 
 
 __all__ = [

@@ -33,6 +33,9 @@ from .device import BlockDevice
 
 _LEN = struct.Struct("<I")
 
+#: Bytes of the length prefix that frames each record in a run stream.
+RECORD_HEADER = _LEN.size
+
 
 @dataclass(frozen=True)
 class RunHandle:
@@ -317,6 +320,11 @@ class RunWriter:
     def stream_bytes(self) -> int:
         """Framed bytes written so far; ``tell()`` for the record stream."""
         return self._stream_bytes
+
+    @property
+    def room(self) -> int:
+        """Framed bytes that can be appended before the next device write."""
+        return self._device.block_size - len(self._buffer)
 
     @property
     def record_count(self) -> int:
@@ -623,6 +631,11 @@ class CompressedRunWriter:
     def stream_bytes(self) -> int:
         """Logical framed bytes appended so far (pending included)."""
         return self._stream_bytes
+
+    @property
+    def room(self) -> int:
+        """Framed bytes that can be appended before the next device write."""
+        return self._segment_bytes - self._pending_bytes
 
     @property
     def record_count(self) -> int:

@@ -315,17 +315,19 @@ class Scheduler:
         as a compact container-codec blob: the scheduler encodes the
         submission (standing in for the tenant's client), decodes it on
         ingest, and charges the decode CPU against the lease so the
-        smaller footprint is honestly paid for.  The decoded token list
-        is exact, so the staged document - and everything downstream:
-        digest, comparisons, trace spans - is bit-identical to a plain
+        smaller footprint is honestly paid for.  The decode yields the
+        plain-dialect records of the exact submitted tokens, stored by
+        :meth:`Document.from_records` without building a token, so the
+        staged document - and everything downstream: digest,
+        comparisons, trace spans - is bit-identical to a plain
         submission of the same job.
         """
         spec = result.spec
         if not spec.wire:
             return Document.from_events(lease.store, spec.events())
         blob = encode_document_wire(spec.events())
-        tokens = decode_document_wire(blob)
-        document = Document.from_events(lease.store, tokens)
+        records = decode_document_wire(blob)
+        document = Document.from_records(lease.store, records)
         raw = document.handle.stream_bytes
         lease.store.device.stats.record_decompression(len(blob), raw)
         result.wire_bytes = len(blob)

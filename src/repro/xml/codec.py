@@ -64,6 +64,13 @@ def is_pointer_record(data: bytes) -> bool:
     return bool(data) and data[0] == _TYPE_POINTER
 
 
+def pointer_run_id(data: bytes) -> int:
+    """The run id of an encoded RunPointer record, read in place."""
+    if not is_pointer_record(data):
+        raise CodecError("not a run pointer record")
+    return read_varint(data, 2)[0]
+
+
 def write_varint(out: bytearray, value: int) -> None:
     """Append an unsigned LEB128 varint."""
     if value < 0:
@@ -100,19 +107,30 @@ def encode_varint(value: int) -> bytes:
     carry private copies (:mod:`repro.xml.compact`'s frame cache, the
     run-compression layer) all frame through here.
     """
+    if 0 <= value < 0x80:
+        return _SMALL_VARINTS[value]
     out = bytearray()
     write_varint(out, value)
     return bytes(out)
 
 
-def _write_string(out: bytearray, value: str) -> None:
+#: Single-byte varint frames, indexed by value.
+_SMALL_VARINTS = [bytes((value,)) for value in range(0x80)]
+
+#: Record heads (type byte, flags byte), indexed ``[type][flags]``.
+_HEADS = [
+    [bytes((record_type, flags)) for flags in range(8)]
+    for record_type in range(_TYPE_POINTER + 1)
+]
+
+
+def string_frame(value: str) -> bytes:
+    """The length-framed UTF-8 encoding of ``value`` (a codec string)."""
     encoded = value.encode("utf-8")
     size = len(encoded)
     if size < 0x80:
-        out.append(size)
-    else:
-        write_varint(out, size)
-    out += encoded
+        return _SMALL_VARINTS[size] + encoded
+    return encode_varint(size) + encoded
 
 
 def _read_string(data: bytes, pos: int) -> tuple[str, int]:
@@ -133,7 +151,7 @@ def encode_key_atom(out: bytearray, atom: tuple) -> None:
         out += _DOUBLE.pack(value)
         return
     if kind == KEY_STRING:
-        _write_string(out, value)
+        out += string_frame(value)
         return
     raise CodecError(f"unknown key atom kind {kind}")
 
@@ -157,31 +175,234 @@ def decode_key_atom(data: bytes, pos: int) -> tuple[tuple, int]:
     raise CodecError(f"unknown key atom kind {kind}")
 
 
+# -- reading records in place ----------------------------------------------
+#
+# After the [type, flags] head, a record holds:
+#
+# * start:   tag name, varint attribute count, (name, string) per
+#            attribute, annotations;
+# * text:    string, then the level when flagged;
+# * end:     tag name, annotations;
+# * pointer: varint run id, element count and payload bytes, annotations.
+#
+# A string is ``varint(len) + UTF-8``; a name is a string in the plain
+# dialect and a varint id when dictionary-coded; the annotations are the
+# key atom, position and level that the flags name, in that order, so the
+# level is always a record's last field.  These walkers are the one place
+# outside :class:`TokenCodec` that knows the layout; each raises
+# CodecError for a record whose fields do not end exactly at its end.
+
+
+def frame_span(data: bytes, pos: int) -> tuple[int, int]:
+    """(start, end) of the payload of the string field at ``pos``; the
+    next field begins at ``end``."""
+    length = data[pos]
+    pos += 1
+    if length >= 0x80:
+        length, pos = read_varint(data, pos - 1)
+    return pos, pos + length
+
+
+def _name_field(data: bytes, pos: int, coded: bool) -> tuple[bytes | int, int]:
+    """(name, end) of the name field at ``pos``: the UTF-8 bytes of a
+    plain name, or the id of a dictionary-coded one."""
+    if coded:
+        name_id = data[pos]
+        if name_id < 0x80:
+            return name_id, pos + 1
+        return read_varint(data, pos)
+    length = data[pos]
+    pos += 1
+    if length >= 0x80:
+        length, pos = read_varint(data, pos - 1)
+    end = pos + length
+    return data[pos:end], end
+
+
+def _annotations(data: bytes, pos: int) -> tuple[int, int | None]:
+    """(offset of the level field, level or None) of the annotations
+    starting at ``pos``, checking that they end the record."""
+    flags = data[1]
+    if flags & _FLAG_KEY:
+        pos = decode_key_atom(data, pos)[1]
+    if flags & _FLAG_POS:
+        pos = read_varint(data, pos)[1]
+    level_at = pos
+    level = None
+    if flags & _FLAG_LEVEL:
+        level, pos = read_varint(data, pos)
+    if pos != len(data):
+        raise CodecError("malformed token record")
+    return level_at, level
+
+
+def start_fields(record: bytes, coded: bool) -> tuple:
+    """Walk a start record's fields without decoding its strings.
+
+    ``coded`` says the names are dictionary ids.  Returns ``(tag, attrs,
+    annotations, level_at, level)``: names (the tag and each
+    attribute's) are UTF-8 bytes in the plain dialect and ids when
+    coded; ``attrs`` holds ``(name, start, end)`` per attribute, the
+    value being the UTF-8 payload ``record[start:end]``; ``annotations``
+    is the offset where the attributes end and ``level_at`` that of the
+    level field (the record's length when it has none).
+    """
+    try:
+        tag, pos = _name_field(record, 2, coded)
+        count = record[pos]
+        pos += 1
+        if count >= 0x80:
+            count, pos = read_varint(record, pos - 1)
+        attrs = []
+        append = attrs.append
+        for _ in range(count):
+            name, pos = _name_field(record, pos, coded)
+            length = record[pos]
+            pos += 1
+            if length >= 0x80:
+                length, pos = read_varint(record, pos - 1)
+            end = pos + length
+            append((name, pos, end))
+            pos = end
+        if record[1]:
+            level_at, level = _annotations(record, pos)
+        elif pos != len(record):
+            raise CodecError("malformed token record")
+        else:
+            level_at, level = pos, None
+    except IndexError:
+        raise CodecError("truncated token record") from None
+    return tag, attrs, pos, level_at, level
+
+
+def end_fields(record: bytes, coded: bool) -> tuple[bytes | int, int]:
+    """(tag, offset of the first annotation) of an end record; the tag
+    as in :func:`start_fields`."""
+    try:
+        tag, pos = _name_field(record, 2, coded)
+        _annotations(record, pos)
+    except IndexError:
+        raise CodecError("truncated token record") from None
+    return tag, pos
+
+
+def text_fields(record: bytes) -> tuple[int, int, int | None]:
+    """(start, end, level or None) of a text record; its character data
+    is the UTF-8 payload ``record[start:end]``."""
+    try:
+        start, end = frame_span(record, 2)
+        pos = end
+        level = None
+        if record[1] & _FLAG_LEVEL:
+            level, pos = read_varint(record, pos)
+    except IndexError:
+        raise CodecError("truncated token record") from None
+    if pos != len(record):
+        raise CodecError("malformed token record")
+    return start, end, level
+
+
+def with_level(record: bytes, level: int, coded: bool) -> bytes:
+    """A start or text record annotated with ``level`` in place of any
+    level it carries (the level is the last field)."""
+    flags = record[1]
+    if not flags & _FLAG_LEVEL:
+        return (
+            _HEADS[record[0]][flags | _FLAG_LEVEL]
+            + record[2:]
+            + encode_varint(level)
+        )
+    if record[0] == _TYPE_TEXT:
+        level_at = text_fields(record)[1]
+    else:
+        level_at = start_fields(record, coded)[3]
+    return record[:level_at] + encode_varint(level)
+
+
+#: Most distinct names a codec keeps encoded frames for.
+_NAME_FRAME_LIMIT = 1 << 12
+
+
 class TokenCodec:
     """Encodes and decodes tokens, optionally via a name dictionary."""
 
     def __init__(self, names: "NameDictionary | None" = None):
         self.names = names
+        #: name -> encoded name field (string frame or dictionary id).
+        self._name_frames: dict[str, bytes] = {}
 
     # -- encoding ----------------------------------------------------------
 
+    def _name_frame(self, name: str) -> bytes:
+        frame = self._name_frames.get(name)
+        if frame is None:
+            if self.names is None:
+                frame = string_frame(name)
+            else:
+                frame = self.names.intern_frame(name)
+            if len(self._name_frames) >= _NAME_FRAME_LIMIT:
+                self._name_frames.clear()
+            self._name_frames[name] = frame
+        return frame
+
     def encode(self, token: Token) -> bytes:
-        out = bytearray()
-        if isinstance(token, StartTag):
-            self._encode_start(out, token)
-        elif isinstance(token, Text):
-            out.append(_TYPE_TEXT)
-            out.append(_FLAG_LEVEL if token.level is not None else 0)
-            _write_string(out, token.text)
-            if token.level is not None:
-                write_varint(out, token.level)
-        elif isinstance(token, EndTag):
-            self._encode_end(out, token)
-        elif isinstance(token, RunPointer):
-            self._encode_pointer(out, token)
+        # A record is its [type, flags] head, its fields and, when flags
+        # is non-zero, the annotations (key atom, position, level - in
+        # that order).  Unannotated tokens - what parsers, generators and
+        # the wire client produce - cost one join of cached frames.
+        kind = type(token)
+        if kind is StartTag:
+            name_frame = self._name_frame
+            attrs = token.attrs
+            count = len(attrs)
+            parts = [
+                _HEADS[_TYPE_START][0],
+                name_frame(token.tag),
+                _SMALL_VARINTS[count] if count < 0x80
+                else encode_varint(count),
+            ]
+            append = parts.append
+            for name, value in attrs:
+                append(name_frame(name))
+                append(string_frame(value))
+            record_type = _TYPE_START
+            key, position, level = token.key, token.pos, token.level
+        elif kind is Text:
+            parts = [_HEADS[_TYPE_TEXT][0], string_frame(token.text)]
+            record_type = _TYPE_TEXT
+            key = position = None
+            level = token.level
+        elif kind is EndTag:
+            parts = [_HEADS[_TYPE_END][0], self._name_frame(token.tag)]
+            record_type = _TYPE_END
+            key, position, level = token.key, token.pos, None
+        elif kind is RunPointer:
+            parts = [
+                _HEADS[_TYPE_POINTER][0],
+                encode_varint(token.run_id),
+                encode_varint(token.element_count),
+                encode_varint(token.payload_bytes),
+            ]
+            record_type = _TYPE_POINTER
+            key, position, level = token.key, token.pos, token.level
         else:
             raise CodecError(f"cannot encode {token!r}")
-        return bytes(out)
+        if key is None and position is None and level is None:
+            return b"".join(parts)
+        flags = 0
+        if key is not None:
+            flags |= _FLAG_KEY
+            annotations = bytearray()
+            encode_key_atom(annotations, key)
+            parts.append(annotations)
+        if position is not None:
+            flags |= _FLAG_POS
+            parts.append(encode_varint(position))
+        if level is not None:
+            flags |= _FLAG_LEVEL
+            parts.append(encode_varint(level))
+        parts[0] = _HEADS[record_type][flags]
+        return b"".join(parts)
 
     def encoded_size(self, token: Token) -> int:
         """Size of ``encode(token)`` (used for threshold arithmetic)."""
@@ -192,65 +413,11 @@ class TokenCodec:
         encode = self.encode
         return [encode(token) for token in tokens]
 
-    def _flags(self, token) -> int:
-        flags = 0
-        if token.key is not None:
-            flags |= _FLAG_KEY
-        if token.pos is not None:
-            flags |= _FLAG_POS
-        if getattr(token, "level", None) is not None:
-            flags |= _FLAG_LEVEL
-        return flags
-
-    def _write_name(self, out: bytearray, name: str) -> None:
-        if self.names is None:
-            _write_string(out, name)
-        else:
-            # One dict probe + cached varint frame: the dictionary keeps
-            # the encoded form of every id, so dictionary-coded encoding
-            # never re-serializes an integer (hot in compacted scans).
-            out += self.names.intern_frame(name)
-
-    def _read_name(self, data: bytes, pos: int) -> tuple[str, int]:
+    def read_name(self, data: bytes, pos: int) -> tuple[str, int]:
         if self.names is None:
             return _read_string(data, pos)
         name_id, pos = read_varint(data, pos)
         return self.names.lookup(name_id), pos
-
-    def _encode_annotations(self, out: bytearray, token, flags: int) -> None:
-        if flags & _FLAG_KEY:
-            encode_key_atom(out, token.key)
-        if flags & _FLAG_POS:
-            write_varint(out, token.pos)
-        if flags & _FLAG_LEVEL:
-            write_varint(out, token.level)
-
-    def _encode_start(self, out: bytearray, token: StartTag) -> None:
-        out.append(_TYPE_START)
-        flags = self._flags(token)
-        out.append(flags)
-        self._write_name(out, token.tag)
-        write_varint(out, len(token.attrs))
-        for name, value in token.attrs:
-            self._write_name(out, name)
-            _write_string(out, value)
-        self._encode_annotations(out, token, flags)
-
-    def _encode_end(self, out: bytearray, token: EndTag) -> None:
-        out.append(_TYPE_END)
-        flags = self._flags(token)
-        out.append(flags)
-        self._write_name(out, token.tag)
-        self._encode_annotations(out, token, flags)
-
-    def _encode_pointer(self, out: bytearray, token: RunPointer) -> None:
-        out.append(_TYPE_POINTER)
-        flags = self._flags(token)
-        out.append(flags)
-        write_varint(out, token.run_id)
-        write_varint(out, token.element_count)
-        write_varint(out, token.payload_bytes)
-        self._encode_annotations(out, token, flags)
 
     # -- decoding ----------------------------------------------------------
 
@@ -294,11 +461,11 @@ class TokenCodec:
 
     def _decode_start(self, data: bytes) -> StartTag:
         flags = data[1]
-        tag, pos = self._read_name(data, 2)
+        tag, pos = self.read_name(data, 2)
         attr_count, pos = read_varint(data, pos)
         attrs = []
         for _ in range(attr_count):
-            name, pos = self._read_name(data, pos)
+            name, pos = self.read_name(data, pos)
             value, pos = _read_string(data, pos)
             attrs.append((name, value))
         key, position, level, pos = self._decode_annotations(data, pos, flags)
@@ -308,7 +475,7 @@ class TokenCodec:
 
     def _decode_end(self, data: bytes) -> EndTag:
         flags = data[1]
-        tag, pos = self._read_name(data, 2)
+        tag, pos = self.read_name(data, 2)
         key, position, _, pos = self._decode_annotations(data, pos, flags)
         return EndTag(tag=tag, key=key, pos=position)
 

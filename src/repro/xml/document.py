@@ -11,6 +11,12 @@ Documents can be stored plain or compacted
 :meth:`Document.iter_events` always yields a *full* Start/Text/End event
 stream, synthesizing end tags from level transitions when they were
 eliminated on disk, so consumers are storage-agnostic.
+
+Storing (:meth:`Document.from_records`, which :meth:`Document.from_events`
+goes through) and serializing (:meth:`Document.write`,
+:meth:`Document.to_string`) work on the encoded records themselves and
+build no token objects; the token views serve the operators that work
+on events.
 """
 
 from __future__ import annotations
@@ -18,15 +24,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from ..errors import XMLSyntaxError
+from ..errors import CodecError, XMLSyntaxError
 from ..io.device import BlockDevice
-from ..io.runs import RunHandle, RunStore
-from .codec import TokenCodec
-from .compact import CompactionConfig, eliminate_end_tags, restore_end_tags
+from ..io.runs import RECORD_HEADER, RunHandle, RunStore
+from .codec import (
+    TYPE_END,
+    TYPE_POINTER,
+    TYPE_START,
+    TYPE_TEXT,
+    TokenCodec,
+    with_level,
+)
+from .compact import CompactionConfig, restore_end_tags
 from .model import Element
 from .parser import parse_events
-from .tokens import EndTag, StartTag, Text, Token
-from .writer import events_to_string, write_events
+from .tokens import Token
+from .writer import records_to_string, write_records
+
+#: Most records :meth:`Document.from_records` hands the writer at once.
+_STORE_BATCH = 4096
 
 
 @dataclass
@@ -97,52 +113,103 @@ class Document:
     ) -> "Document":
         """Store an event stream as a document, measuring it on the way."""
         codec = TokenCodec(compaction.names if compaction else None)
+        return cls.from_records(
+            store, map(codec.encode, events), compaction, category
+        )
+
+    @classmethod
+    def from_records(
+        cls,
+        store: RunStore,
+        records: Iterable[bytes],
+        compaction: CompactionConfig | None = None,
+        category: str = "load",
+    ) -> "Document":
+        """Store encoded tokens as a document, measuring it on the way.
+
+        ``records`` encode a full Start/Text/End stream (end tags
+        present) in ``compaction``'s name dialect; with end-tag
+        elimination the end records are dropped and levels spliced onto
+        starts and texts here.  The statistics are measured from the
+        record type bytes.  Records reach the run writer in batches that
+        end where the writer's next device write falls, so the device
+        sees its writes interleaved with the producer's reads exactly as
+        record-at-a-time writes would interleave them.  A rejected
+        stream leaves no run behind.
+        """
+        eliminate = compaction is not None and compaction.eliminate_end_tags
+        codec = TokenCodec(compaction.names if compaction else None)
+        coded = codec.names is not None
         writer = store.create_writer(category)
-        stats = DocumentStats()
+        header = RECORD_HEADER
+        batch: list[bytes] = []
+        put = batch.append
+        room = writer.room
+        # The root, fan-out and height rules.
+        depth = element_count = max_fanout = height = text_count = 0
         open_children: list[int] = []
-
-        measured = cls._measure(events, stats, open_children)
-        if compaction is not None and compaction.eliminate_end_tags:
-            stored: Iterable[Token] = eliminate_end_tags(measured)
-        else:
-            stored = measured
-        for token in stored:
-            writer.write_record(codec.encode(token))
-        handle = writer.finish()
-        if stats.element_count == 0:
-            raise XMLSyntaxError("cannot store an empty document")
-        return cls(store, handle, stats, compaction)
-
-    @staticmethod
-    def _measure(
-        events: Iterable[Token],
-        stats: DocumentStats,
-        open_children: list[int],
-    ) -> Iterator[Token]:
-        depth = 0
-        for event in events:
-            if isinstance(event, StartTag):
-                if depth == 0:
-                    if stats.element_count:
+        root_tag = ""
+        try:
+            for record in records:
+                kind = record[0]
+                if kind == TYPE_START:
+                    if depth:
+                        fanout = open_children[-1] + 1
+                        open_children[-1] = fanout
+                        if fanout > max_fanout:
+                            max_fanout = fanout
+                    elif element_count:
                         raise XMLSyntaxError("multiple root elements")
-                    stats.root_tag = event.tag
-                else:
-                    open_children[-1] += 1
-                    if open_children[-1] > stats.max_fanout:
-                        stats.max_fanout = open_children[-1]
-                open_children.append(0)
-                depth += 1
-                stats.element_count += 1
-                if depth > stats.height:
-                    stats.height = depth
-            elif isinstance(event, EndTag):
-                open_children.pop()
-                depth -= 1
-            elif isinstance(event, Text):
-                stats.text_count += 1
-            yield event
-        if depth != 0:
-            raise XMLSyntaxError("unbalanced event stream while storing")
+                    else:
+                        root_tag = codec.read_name(record, 2)[0]
+                    open_children.append(0)
+                    depth += 1
+                    element_count += 1
+                    if depth > height:
+                        height = depth
+                    if eliminate:
+                        record = with_level(record, depth, coded)
+                elif kind == TYPE_END:
+                    if not depth:
+                        raise XMLSyntaxError(
+                            "unbalanced event stream while storing"
+                        )
+                    open_children.pop()
+                    depth -= 1
+                    if eliminate:
+                        continue
+                elif kind == TYPE_TEXT:
+                    if not depth:
+                        raise XMLSyntaxError("text outside the root element")
+                    text_count += 1
+                    if eliminate:
+                        record = with_level(record, depth, coded)
+                elif kind != TYPE_POINTER:
+                    raise CodecError(f"unknown token type byte {kind}")
+                put(record)
+                room -= header + len(record)
+                if room <= 0 or len(batch) >= _STORE_BATCH:
+                    writer.write_records(batch)
+                    batch.clear()
+                    room = writer.room
+            if depth != 0:
+                raise XMLSyntaxError("unbalanced event stream while storing")
+            if element_count == 0:
+                raise XMLSyntaxError("cannot store an empty document")
+            writer.write_records(batch)
+        except BaseException:
+            # Whatever stops the store - a rejected stream, a bad record,
+            # a device fault - frees the blocks already written.
+            writer.abandon()
+            raise
+        stats = DocumentStats(
+            element_count=element_count,
+            max_fanout=max_fanout,
+            height=height,
+            text_count=text_count,
+            root_tag=root_tag,
+        )
+        return cls(store, writer.finish(), stats, compaction)
 
     @classmethod
     def from_string(
@@ -199,18 +266,42 @@ class Document:
 
     # -- reading -----------------------------------------------------------
 
+    def iter_records(self, category: str = "input_scan") -> Iterator[bytes]:
+        """Yield the stored records, a loaded block at a time.
+
+        Each block is drained in one batch; the record that needs the
+        next block is read on its own, so blocks load exactly when a
+        record-at-a-time reader would load them.
+        """
+        reader = self.store.open_reader(self.handle, category=category)
+        drain = reader.read_available_records
+        read = reader.read_record
+        while True:
+            batch = drain()
+            if batch:
+                yield from batch
+                continue
+            record = read()
+            if record is None:
+                return
+            yield record
+
     def iter_tokens(self, category: str = "input_scan") -> Iterator[Token]:
         """Yield the raw stored tokens (no end tags in compacted mode)."""
-        reader = self.store.open_reader(self.handle, category=category)
-        for record in reader:
-            yield self.codec.decode(record)
+        return map(self.codec.decode, self.iter_records(category))
 
     def iter_events(self, category: str = "input_scan") -> Iterator[Token]:
         """Yield a full Start/Text/End event stream regardless of storage."""
         tokens = self.iter_tokens(category)
-        if self.compaction is not None and self.compaction.eliminate_end_tags:
+        if self._ends_eliminated:
             return restore_end_tags(tokens)
         return tokens
+
+    @property
+    def _ends_eliminated(self) -> bool:
+        return (
+            self.compaction is not None and self.compaction.eliminate_end_tags
+        )
 
     def to_element(self, category: str = "export") -> Element:
         """Materialize the document as an in-memory tree."""
@@ -220,16 +311,28 @@ class Document:
         self, indent: str | None = None, category: str = "export"
     ) -> str:
         """Serialize the document back to XML text."""
-        return events_to_string(self.iter_events(category), indent=indent)
+        return records_to_string(
+            self.iter_records(category),
+            indent,
+            self.codec.names,
+            self._ends_eliminated,
+        )
 
     def write(
         self, out: TextIO, indent: str | None = None, category: str = "export"
     ) -> None:
         """Stream the document as XML text to the handle ``out``.
 
-        Writes exactly :meth:`to_string`'s text, without building it.
+        Writes exactly :meth:`to_string`'s text, without building it,
+        straight from the stored records (no token objects).
         """
-        write_events(self.iter_events(category), out, indent=indent)
+        write_records(
+            self.iter_records(category),
+            out,
+            indent,
+            self.codec.names,
+            self._ends_eliminated,
+        )
 
     def free(self) -> None:
         """Release the document's blocks (bookkeeping only)."""

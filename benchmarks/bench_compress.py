@@ -3,7 +3,7 @@
 Three sweeps hold ISSUE 10's compression claims to numbers:
 
 1. **Codec x memory** - the Figure-5 workload at 512-byte blocks, every
-   codec (off / container / zlib) at three memory grants.  Run bytes
+   codec (off / container) at three memory grants.  Run bytes
    must shrink by at least ``MIN_RATIO`` with the container codec, and
    the sorted output digest must be byte-identical to the uncompressed
    run at the same grant.
@@ -45,7 +45,7 @@ SPEC = SortSpec(default=ByAttribute("name"))
 SMALL_BLOCK_ELEMENT_BYTES = 62.05
 
 FIG5_SHAPE = [11, 11, 11, 5]
-CODECS = (None, "container", "zlib")
+CODECS = (None, "container")
 MEMORY_GRANTS = (8, 16, 24)
 CROSSOVER_BLOCKS = (512, 1024, 2048, 4096)
 PLANNER_BLOCKS = (512, 4096, 16384, 65536)

@@ -3,11 +3,11 @@
 The paper's generators produce uniform shapes; real exchanged XML (the
 auction-site workload of the XMark benchmark family) mixes wide fan-outs,
 deep personalia paths, text, and skewed subtree sizes.  This bench runs
-all three sorters on such a document and checks that the advisor's
-recommendation holds up outside the paper's synthetic shapes.
+all three sorters on such a document and checks that the cost-based
+planner's pick holds up outside the paper's synthetic shapes.
 """
 
-from repro.analysis import recommend
+from repro.analysis import Planner, profile_document
 from repro.baselines import xsort
 from repro.bench import (
     bench_scale,
@@ -30,7 +30,11 @@ def _run():
     spec = auction_spec()
 
     document = load_document(_events())
-    verdict = recommend(document, MEMORY_BLOCKS)
+    verdict = Planner(
+        profile_document(document),
+        memory_blocks=MEMORY_BLOCKS,
+        block_size=document.device.block_size,
+    ).choose(fixed={"disks": 1}).config
 
     doc = load_document(_events())
     _out, nexsort_report = nexsort(doc, spec, memory_blocks=MEMORY_BLOCKS)
@@ -81,8 +85,8 @@ def test_realistic_auction_workload(benchmark):
         notes=[
             f"document: {document.element_count} elements, height "
             f"{document.height}, max fan-out {document.max_fanout}",
-            f"advisor recommends: {verdict.algorithm} (on the paper's "
-            "I/O-count metric)",
+            f"planner picks: {verdict.algorithm} (on predicted "
+            "simulated seconds)",
             "NEXSORT wins the I/O count; on this small, pointer-dense "
             "document the output phase's run-to-run jumps are seek-heavy, "
             "so the simulated-time winner depends on the disk model - the "
@@ -91,7 +95,7 @@ def test_realistic_auction_workload(benchmark):
         ],
     )
 
-    # The advisor picks NEXSORT on this hierarchical document, and
+    # The planner picks NEXSORT on this hierarchical document, and
     # NEXSORT indeed wins on the paper's primary metric (block I/Os).
     assert verdict.algorithm == "nexsort"
     assert nexsort_report.total_ios < merge_metrics.total_ios

@@ -1,9 +1,8 @@
 """Cost-based self-tuning planner over the full engine knob grid.
 
-ROADMAP item 2: the advisor answers the paper's Figure-7 question
-(NEXSORT vs. merge sort); this module answers the operational one -
-*given this workload sketch and these resources, how should every knob
-be set?*  It enumerates candidate :class:`PlanConfig` settings over the
+This module answers the paper's Figure-7 question (NEXSORT vs. merge
+sort) as part of the operational one - *given this workload sketch and
+these resources, how should every knob be set?*  It enumerates candidate :class:`PlanConfig` settings over the
 grid the engine actually exposes (algorithm, threshold, cache blocks,
 run formation, merge kernel, embedded keys, compression, disks,
 prefetch), prices each with the shared :class:`~repro.io.stats.CostModel`
@@ -42,7 +41,6 @@ from ..io.compress import CODEC_NAMES
 from ..io.stats import CostModel
 from ..merge.engine import MERGE_KERNELS, MergeOptions, RUN_FORMATION_MODES
 from .advisor import DocumentProfile
-from .bounds import iterated_merge_depth
 
 #: Key-path annotation bytes a merge-sort run record adds per element
 #: (calibrated: run-formation writes / input blocks across BENCH rows).
@@ -95,7 +93,6 @@ class PlanConfig:
     embedded_keys: bool = False
     disks: int = 1
     prefetch_depth: int = 0
-    prefetch_policy: str = "forecast"
     compress: str | None = None
     compress_capacity: bool = False
 
@@ -183,8 +180,7 @@ class Plan:
             f"embedded_keys={c.embedded_keys} "
             f"compress={c.compress or 'off'}"
             f"{'+capacity' if c.compress_capacity else ''} "
-            f"disks={c.disks} prefetch={c.prefetch_depth}/"
-            f"{c.prefetch_policy}",
+            f"disks={c.disks} prefetch={c.prefetch_depth}",
             f"predicted: {self.cost.total_seconds:.4f}s "
             f"({self.cost.total_ios:.0f} I/Os, "
             f"{self.cost.io_seconds:.4f}s I/O, "
@@ -566,7 +562,6 @@ class Planner:
                 embedded_keys=embedded,
                 disks=disks,
                 prefetch_depth=prefetch,
-                prefetch_policy=fixed.get("prefetch_policy", "forecast"),
                 compress=compress,
                 compress_capacity=compress_capacity,
             )
@@ -714,7 +709,7 @@ class Planner:
             lines.append(
                 f"{best.disks} disks cut busiest-disk time to "
                 f"{cost.disk_seconds:.4f}s (prefetch "
-                f"{best.prefetch_depth}, {best.prefetch_policy})"
+                f"{best.prefetch_depth})"
             )
         if best.algorithm == "nexsort":
             lines.append(

@@ -48,7 +48,7 @@ from ..core.columnar import (
     run_sidecar,
 )
 from ..errors import DeviceFault, RunError
-from ..io.parallel import MergePrefetcher, supports_prefetch
+from ..io.parallel import MergePrefetcher
 from ..io.runs import RunHandle, RunStore
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import (
@@ -176,7 +176,7 @@ def _merge_pass_loser_tree(
     # Prefetch only reorders the reads this merge was about to issue, so
     # counters stay identical with it on or off.
     prefetcher = None
-    if len(runs) > 1 and supports_prefetch(store.io_target):
+    if len(runs) > 1 and store.io_target.prefetch_depth > 0:
         prefetcher = MergePrefetcher(
             store.io_target, runs, readers,
             category=read_category, streams=streams,

@@ -105,7 +105,6 @@ def load_document(
     compaction: CompactionConfig | None = None,
     disks: int | None = None,
     prefetch_depth: int = 0,
-    prefetch_policy: str = "forecast",
 ) -> Document:
     """Put a generated event stream on a fresh device.
 
@@ -121,7 +120,6 @@ def load_document(
             disks=disks,
             block_size=block_size,
             prefetch_depth=prefetch_depth,
-            prefetch_policy=prefetch_policy,
         )
     store = RunStore(device)
     return Document.from_events(store, events, compaction=compaction)
@@ -136,8 +134,8 @@ def _parallel_detail(device: BlockDevice, report) -> dict:
     """
     snap = report.stats
     return {
-        "disks": getattr(device, "disks", 1),
-        "prefetch_depth": getattr(device, "prefetch_depth", 0),
+        "disks": device.disks,
+        "prefetch_depth": device.prefetch_depth,
         "disk_seconds": snap.disk_seconds(),
         "overlap_seconds": snap.overlap_seconds(),
         "stall_seconds": snap.stall_seconds,
@@ -176,7 +174,6 @@ def run_nexsort(
     compaction: CompactionConfig | None = None,
     disks: int | None = None,
     prefetch_depth: int = 0,
-    prefetch_policy: str = "forecast",
     **options,
 ) -> SortMetrics:
     """One NEXSORT experiment on a fresh device.
@@ -188,7 +185,6 @@ def run_nexsort(
     document = load_document(
         events_factory(), block_size, compaction,
         disks=disks, prefetch_depth=prefetch_depth,
-        prefetch_policy=prefetch_policy,
     )
     tracer = Tracer(document.store.device.stats)
     wall_start = time.perf_counter()
@@ -241,13 +237,11 @@ def run_merge_sort(
     merge_options: MergeOptions | None = None,
     disks: int | None = None,
     prefetch_depth: int = 0,
-    prefetch_policy: str = "forecast",
 ) -> SortMetrics:
     """One external merge sort experiment on a fresh device."""
     document = load_document(
         events_factory(), block_size, compaction,
         disks=disks, prefetch_depth=prefetch_depth,
-        prefetch_policy=prefetch_policy,
     )
     tracer = Tracer(document.store.device.stats)
     wall_start = time.perf_counter()
@@ -314,7 +308,6 @@ def run_config(
         compaction=compaction,
         disks=disks,
         prefetch_depth=config.prefetch_depth,
-        prefetch_policy=config.prefetch_policy,
     )
     if config.algorithm == "merge_sort":
         return run_merge_sort(

@@ -34,7 +34,6 @@ from .faults import RecoveryContext, RetryPolicy, build_faulty_device
 from .io import (
     BlockDevice,
     FileBackedBlockDevice,
-    PREFETCH_POLICIES,
     RunStore,
     StripedDevice,
 )
@@ -147,15 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
             "into it (sort only)",
         )
         p.add_argument(
-            "--prefetch-policy",
-            choices=sorted(PREFETCH_POLICIES),
-            default="forecast",
-            action=_TrackedStore,
-            help="which run gets scarce prefetch slots first: forecast "
-            "(smallest merge head key - the run that drains next) or "
-            "round-robin (naive cycling); default forecast",
-        )
-        p.add_argument(
             "--run-formation",
             choices=["load-sort", "replacement-selection"],
             default="load-sort",
@@ -185,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--compress",
-            choices=["off", "container", "zlib"],
+            choices=["off", "container"],
             default="off",
             action=_TrackedStore,
             help="compress sorted runs on disk: container (split each "
             "record into structure/text/key containers, delta + "
-            "dictionary coding) or zlib (whole-segment reference "
-            "backend); output is bit-identical either way, only byte "
-            "and CPU counters move (default off)",
+            "dictionary coding); output is bit-identical to off, only "
+            "byte and CPU counters move (default off)",
         )
         p.add_argument(
             "--compress-capacity", action=_TrackedFlag,
@@ -364,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_cmd = sub.add_parser(
         "analyze",
-        help="print the document's external-memory geometry and the "
-        "paper's bounds",
+        help="print the document's external-memory geometry, the "
+        "paper's bounds, and the cost-based planner's pick",
     )
     analyze_cmd.add_argument("input")
     add_common(analyze_cmd, with_spec=False)
@@ -446,7 +435,7 @@ def _plan_auto(args, document, base_device):
         memory_blocks=args.memory,
         block_size=args.block_size,
         disks=disks,
-        cost_model=getattr(base_device.stats, "cost_model", None),
+        cost_model=base_device.stats.cost_model,
     )
     fixed = {"memory_blocks": args.memory, "disks": disks}
     if "algorithm" in provided:
@@ -464,7 +453,6 @@ def _plan_auto(args, document, base_device):
         ("merge_kernel", "merge_kernel"),
         ("embedded_keys", "embedded_keys"),
         ("prefetch_depth", "prefetch_depth"),
-        ("prefetch_policy", "prefetch_policy"),
         ("compress_capacity", "compress_capacity"),
     ):
         if dest in provided:
@@ -492,8 +480,6 @@ def _plan_auto(args, document, base_device):
         and "prefetch_depth" not in provided
     ):
         base_device.prefetch_depth = chosen.prefetch_depth
-        if "prefetch_policy" not in provided:
-            base_device.prefetch_policy = chosen.prefetch_policy
     return plan
 
 
@@ -516,7 +502,6 @@ def _make_device(args):
             disks=disks,
             block_size=args.block_size,
             prefetch_depth=prefetch_depth,
-            prefetch_policy=getattr(args, "prefetch_policy", "forecast"),
         )
     return BlockDevice(block_size=args.block_size)
 
@@ -697,8 +682,7 @@ def cmd_sort(args) -> int:
                 snap = report.stats
                 print(
                     f"  disks:               {base_device.disks} "
-                    f"(prefetch depth {base_device.prefetch_depth}, "
-                    f"policy {base_device.prefetch_policy})",
+                    f"(prefetch depth {base_device.prefetch_depth})",
                     file=sys.stderr,
                 )
                 print(
@@ -1003,7 +987,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import recommend
+    from .analysis import Planner, profile_document
 
     device = _make_device(args)
     store = RunStore(device)
@@ -1025,14 +1009,14 @@ def cmd_analyze(args) -> int:
     print(f"Thm 4.4 lower bound:   {lower:.0f} I/Os")
     print(f"Thm 4.5 NEXSORT bound: {upper:.0f} I/Os")
     print(f"merge sort passes:     {passes}")
-    verdict = recommend(document, args.memory)
-    print(f"\nrecommended algorithm: {verdict.algorithm}")
-    if verdict.threshold_bytes is not None:
-        print(f"  threshold:           {verdict.threshold_bytes} bytes")
-    if verdict.flat_optimization:
-        print("  graceful degeneration: on")
-    for line in verdict.rationale:
-        print(f"  - {line}")
+    planner = Planner(
+        profile_document(document),
+        memory_blocks=args.memory,
+        block_size=device.block_size,
+        cost_model=device.stats.cost_model,
+    )
+    print()
+    print(planner.choose(fixed={"disks": 1}).describe())
     return 0
 
 

@@ -7,15 +7,13 @@ from .budget import (
     Reservation,
 )
 from .bufferpool import BufferPool, DEFAULT_READAHEAD
-from .device import BlockDevice, DEFAULT_BLOCK_SIZE
+from .device import BlockDevice, DEFAULT_BLOCK_SIZE, DeviceLayer
 from .file_device import FileBackedBlockDevice
 from .lease import ResourceLease, ResourcePool, TeeIOStats
 from .parallel import (
     DiskTimeline,
     MergePrefetcher,
-    PREFETCH_POLICIES,
     StripedDevice,
-    supports_prefetch,
 )
 from .compress import (
     CODEC_NAMES,
@@ -45,6 +43,7 @@ __all__ = [
     "CategoryCounters",
     "CostModel",
     "DEFAULT_BLOCK_SIZE",
+    "DeviceLayer",
     "DiskTimeline",
     "ExternalStack",
     "FileBackedBlockDevice",
@@ -52,7 +51,6 @@ __all__ = [
     "MemoryBudget",
     "MINIMUM_NEXSORT_BLOCKS",
     "MergePrefetcher",
-    "PREFETCH_POLICIES",
     "Reservation",
     "ResourceLease",
     "ResourcePool",
@@ -72,5 +70,4 @@ __all__ = [
     "encode_records",
     "StatsSnapshot",
     "StripedDevice",
-    "supports_prefetch",
 ]

@@ -8,9 +8,8 @@ same* :class:`~repro.io.budget.MemoryBudget` that grants the stacks and the
 subtree sorter their blocks, so cached blocks are never memory the model
 does not account for.
 
-The pool is device-shaped - it exposes ``read_block`` / ``write_block`` /
-``read_blocks`` / ``write_blocks`` / ``allocate`` / ``free_blocks`` /
-``block_size`` / ``stats`` - so every component that takes a
+The pool is a :class:`~repro.io.device.DeviceLayer`, so it has the whole
+device surface and every component that takes a
 :class:`~repro.io.device.BlockDevice` (stacks, run readers and writers)
 works unchanged against a pool.
 
@@ -49,7 +48,7 @@ from collections import OrderedDict
 
 from ..errors import DeviceError
 from .budget import MemoryBudget, Reservation
-from .device import BlockDevice
+from .device import BlockDevice, DeviceLayer
 
 #: Readahead extent (in blocks) used when ``readahead`` is left automatic:
 #: deep enough to amortize per-call overhead, small enough not to thrash
@@ -76,8 +75,11 @@ class _Entry:
         self.pins = 0
 
 
-class BufferPool:
+class BufferPool(DeviceLayer):
     """An LRU, pin-aware, write-back block cache charged to the budget.
+
+    A :class:`~repro.io.device.DeviceLayer`: it overrides the access,
+    free, and parallel-disk calls it caches and forwards the rest.
 
     Args:
         device: the underlying block device.
@@ -107,7 +109,7 @@ class BufferPool:
             raise DeviceError(
                 f"buffer pool capacity cannot be negative: {capacity_blocks}"
             )
-        self._device = device
+        super().__init__(device)
         self.capacity = capacity_blocks
         self._reservation: Reservation | None = None
         if budget is not None:
@@ -120,43 +122,7 @@ class BufferPool:
         self._closed = False
         self._tracer = tracer
 
-    # -- device-shaped proxies ---------------------------------------------
-
-    @property
-    def device(self) -> BlockDevice:
-        return self._device
-
-    @property
-    def block_size(self) -> int:
-        return self._device.block_size
-
-    @property
-    def stats(self):
-        return self._device.stats
-
-    def allocate(self, count: int = 1, pool: str = "default") -> int:
-        return self._device.allocate(count, pool)
-
-    def bytes_to_blocks(self, nbytes: int) -> int:
-        return self._device.bytes_to_blocks(nbytes)
-
-    # -- parallel-disk surface (forwarded; see repro.io.parallel) ----------
-
-    @property
-    def disks(self) -> int:
-        return getattr(self._device, "disks", 1)
-
-    @property
-    def prefetch_depth(self) -> int:
-        return getattr(self._device, "prefetch_depth", 0)
-
-    @property
-    def prefetch_policy(self) -> str | None:
-        return getattr(self._device, "prefetch_policy", None)
-
-    def disk_of(self, block_id: int) -> int:
-        disk_of = getattr(self._device, "disk_of", None)
-        return disk_of(block_id) if disk_of is not None else 0
+    # -- parallel-disk surface (see repro.io.parallel) ---------------------
 
     def prefetch_blocks(
         self,
@@ -178,10 +144,9 @@ class BufferPool:
         satisfied = len(block_ids) - len(uncached)
         if not uncached:
             return satisfied
-        prefetch = getattr(self._device, "prefetch_blocks", None)
-        if prefetch is None:
-            return satisfied
-        return satisfied + prefetch(uncached, category, stream=stream)
+        return satisfied + self._device.prefetch_blocks(
+            uncached, category, stream=stream
+        )
 
     def write_block_behind(
         self,
@@ -197,10 +162,9 @@ class BufferPool:
         (pass-through) pool forwards to the device's pipeline.
         """
         if self.capacity == 0:
-            behind = getattr(
-                self._device, "write_block_behind", self._device.write_block
+            self._device.write_block_behind(
+                block_id, data, category, stream=stream
             )
-            behind(block_id, data, category, stream=stream)
             return
         self.write_block(block_id, data, category, stream=stream)
 
@@ -359,7 +323,7 @@ class BufferPool:
                     f"free of pinned block {block_id} "
                     f"({entry.pins} pin(s) outstanding)"
                 )
-        holding = getattr(self._device, "holding", False)
+        holding = self._device.holding
         for block_id in block_ids:
             entry = self._entries.pop(block_id, None)
             if entry is not None and entry.dirty and holding:

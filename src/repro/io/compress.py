@@ -23,10 +23,9 @@ implements that split at *run granularity*:
   dictionary of unique blobs plus per-record indices (text in XML repeats
   heavily: whitespace runs, enumerated values).
 
-``zlib`` is the reference backend: the whole container is handed to
-:func:`zlib.compress` with no modeling cleverness.  Every container
-independently falls back to raw storage when coding would grow it, so a
-compressed segment is never larger than necessary plus framing.
+Each container also tries :func:`zlib.compress` over its coded bytes and
+keeps the smallest of raw, coded and coded-then-zlib, so a compressed
+segment is never larger than necessary plus framing.
 
 Segments are *self-contained*: a group of whole records is encoded into
 one blob (checksummed, typed, counted) and stored in
@@ -71,10 +70,12 @@ from ..xml.codec import (
 _LEN = struct.Struct("<I")
 
 #: Codec names accepted by :class:`CompressionConfig` and the CLI.
-CODEC_NAMES = ("container", "zlib")
+CODEC_NAMES = ("container",)
 
-_CODEC_IDS = {"container": 1, "zlib": 2}
-_CODEC_BY_ID = {v: k for k, v in _CODEC_IDS.items()}
+#: The codec id byte of every segment.  Id 2 is not reused: it named an
+#: earlier whole-container zlib codec, so such segments are rejected
+#: rather than misread.
+_CONTAINER_CODEC_ID = 1
 
 _SEGMENT_MAGIC = 0xC5
 _WIRE_MAGIC = b"RXW1"
@@ -86,7 +87,6 @@ _FLAG_EMBEDDED_KEYS = 1
 _MODE_RAW = 0
 _MODE_DELTA = 1        # structure: front-coded (prefix/suffix delta)
 _MODE_DELTA_ZLIB = 2   # structure: front-coded, then zlib
-_MODE_ZLIB = 3         # raw concatenation through zlib
 _MODE_DICT = 4         # text: unique-blob dictionary + indices
 _MODE_DICT_ZLIB = 5    # text: dictionary blob through zlib
 
@@ -104,8 +104,8 @@ class CompressionConfig:
     """How a :class:`~repro.io.runs.RunStore` compresses new runs.
 
     Attributes:
-        codec: "container" (split + front-coding/dictionary) or "zlib"
-            (reference backend: one zlib stream per container).
+        codec: "container" (split + front-coding/dictionary), the only
+            codec.
         segment_blocks: raw blocks gathered per compressed segment.  The
             writer buffers this much framed data before coding, so it is
             also the codec's working-set knob.
@@ -127,7 +127,7 @@ class CompressionConfig:
     capacity: bool = False
 
     def __post_init__(self):
-        if self.codec not in _CODEC_IDS:
+        if self.codec not in CODEC_NAMES:
             raise RunCodecError(
                 f"unknown run codec {self.codec!r}; pick one of "
                 f"{', '.join(CODEC_NAMES)}"
@@ -299,29 +299,25 @@ def _split_concat(data: bytes, lengths: list[int]) -> list[bytes]:
     return entries
 
 
-def _pack_structure(entries: list[bytes], codec: str) -> bytes:
+def _pack_structure(entries: list[bytes]) -> bytes:
     raw = b"".join(entries)
-    candidates = [(_MODE_RAW, raw)]
-    if codec == "container":
-        delta = _front_code(entries)
-        candidates.append((_MODE_DELTA, delta))
-        candidates.append((_MODE_DELTA_ZLIB, zlib.compress(delta, 6)))
-    else:
-        candidates.append((_MODE_ZLIB, zlib.compress(raw, 6)))
+    delta = _front_code(entries)
+    candidates = [
+        (_MODE_RAW, raw),
+        (_MODE_DELTA, delta),
+        (_MODE_DELTA_ZLIB, zlib.compress(delta, 6)),
+    ]
     mode, data = min(candidates, key=lambda pair: len(pair[1]))
     return bytes([mode]) + data
 
 
-def _pack_text(entries: list[bytes], codec: str) -> bytes:
+def _pack_text(entries: list[bytes]) -> bytes:
     raw = b"".join(entries)
     candidates = [(_MODE_RAW, raw)]
-    if codec == "container":
-        coded = _dict_code(entries)
-        if coded is not None:
-            candidates.append((_MODE_DICT, coded))
-            candidates.append((_MODE_DICT_ZLIB, zlib.compress(coded, 6)))
-    else:
-        candidates.append((_MODE_ZLIB, zlib.compress(raw, 6)))
+    coded = _dict_code(entries)
+    if coded is not None:
+        candidates.append((_MODE_DICT, coded))
+        candidates.append((_MODE_DICT_ZLIB, zlib.compress(coded, 6)))
     mode, data = min(candidates, key=lambda pair: len(pair[1]))
     return bytes([mode]) + data
 
@@ -337,8 +333,6 @@ def _unpack_container(
     try:
         if mode == _MODE_RAW:
             return _split_concat(data, lengths)
-        if mode == _MODE_ZLIB:
-            return _split_concat(zlib.decompress(data), lengths)
         if mode == _MODE_DELTA:
             return _front_decode(data, lengths)
         if mode == _MODE_DELTA_ZLIB:
@@ -355,13 +349,8 @@ def _unpack_container(
 # -- segment blobs ------------------------------------------------------------
 
 
-def encode_records(
-    records: list[bytes], embedded_keys: bool, codec: str
-) -> bytes:
+def encode_records(records: list[bytes], embedded_keys: bool) -> bytes:
     """Container-split a group of whole records into one segment blob."""
-    codec_id = _CODEC_IDS.get(codec)
-    if codec_id is None:
-        raise RunCodecError(f"unknown run codec {codec!r}")
     key_container = bytearray()
     layout = bytearray()
     structure: list[bytes] = []
@@ -377,7 +366,7 @@ def encode_records(
 
     out = bytearray()
     out.append(_SEGMENT_MAGIC)
-    out.append(codec_id)
+    out.append(_CONTAINER_CODEC_ID)
     out.append(_FLAG_EMBEDDED_KEYS if embedded_keys else 0)
     write_varint(out, len(records))
     write_varint(out, framed_bytes(records))
@@ -385,8 +374,8 @@ def encode_records(
     for container in (
         bytes(key_container),
         bytes(layout),
-        _pack_structure(structure, codec),
-        _pack_text(text, codec),
+        _pack_structure(structure),
+        _pack_text(text),
     ):
         write_varint(out, len(container))
         out += container
@@ -412,8 +401,7 @@ def _decode_records(blob: bytes) -> list[bytes]:
         raise RunCodecError("bad segment magic")
     if len(blob) < 3:
         raise RunCodecError("truncated segment header")
-    codec = _CODEC_BY_ID.get(blob[1])
-    if codec is None:
+    if blob[1] != _CONTAINER_CODEC_ID:
         raise RunCodecError(f"unknown codec id {blob[1]}")
     embedded_keys = bool(blob[2] & _FLAG_EMBEDDED_KEYS)
     pos = 3
@@ -486,7 +474,7 @@ def _decode_records(blob: bytes) -> list[bytes]:
 # -- the service wire format --------------------------------------------------
 
 
-def encode_document_wire(events, codec: str = "container") -> bytes:
+def encode_document_wire(events) -> bytes:
     """Encode a token stream into one compact submission blob.
 
     Tokens are dictionary-coded (the name table ships in the blob) and
@@ -499,7 +487,7 @@ def encode_document_wire(events, codec: str = "container") -> bytes:
     names = NameDictionary()
     token_codec = TokenCodec(names)
     records = [token_codec.encode(token) for token in events]
-    body = encode_records(records, embedded_keys=False, codec=codec)
+    body = encode_records(records, embedded_keys=False)
 
     out = bytearray()
     out += _WIRE_MAGIC

@@ -16,6 +16,11 @@ streams growing concurrently do not shred each other's on-disk locality,
 just as TPIE streams living in separate files do not.  Block contents live
 in an in-memory dict; "external memory" here means memory *the algorithms
 are not allowed to use for free*, not literally a spinning platter.
+
+Whatever sits between the algorithms and a device - the buffer pool, the
+fault injector, the retrier - is a :class:`DeviceLayer`: it forwards the
+whole device surface to the layer below and overrides only what it
+changes.
 """
 
 from __future__ import annotations
@@ -46,11 +51,9 @@ class BlockDevice:
 
     #: Parallel-disk surface (see :mod:`repro.io.parallel`): a plain
     #: device is one disk with no prefetch pipeline.  Striped devices
-    #: shadow these, and everything layered above (pools, fault proxies,
-    #: run writers) can query them without isinstance checks.
+    #: shadow these; every :class:`DeviceLayer` forwards them.
     disks = 1
     prefetch_depth = 0
-    prefetch_policy: str | None = None
 
     def __init__(
         self,
@@ -378,3 +381,102 @@ class BlockDevice:
             f"allocated={self._next_block}, "
             f"ios={self.stats.total_ios})"
         )
+
+
+class DeviceLayer:
+    """One layer over an inner device, forwarding the whole surface.
+
+    The buffer pool and the fault wrappers each sit on top of a device
+    (or of another layer) and change only a few calls.  This base
+    forwards every part of the :class:`BlockDevice` surface by name -
+    allocation, reads and writes, frees, recovery holds, and the
+    parallel-disk calls - so a subclass overrides exactly the calls it
+    changes and inherits the rest.  The inner object is always a
+    :class:`BlockDevice` or another layer, so nothing is probed.
+    """
+
+    def __init__(self, device):
+        self._device = device
+
+    @property
+    def device(self):
+        """The wrapped device (possibly itself a layer)."""
+        return self._device
+
+    @property
+    def block_size(self) -> int:
+        return self._device.block_size
+
+    @property
+    def stats(self) -> IOStats:
+        return self._device.stats
+
+    # -- allocation --------------------------------------------------------
+
+    def allocate(self, count: int = 1, pool: str = "default") -> int:
+        return self._device.allocate(count, pool)
+
+    @property
+    def allocated_blocks(self) -> int:
+        return self._device.allocated_blocks
+
+    @property
+    def occupied_blocks(self) -> int:
+        return self._device.occupied_blocks
+
+    def bytes_to_blocks(self, nbytes: int) -> int:
+        return self._device.bytes_to_blocks(nbytes)
+
+    # -- access ------------------------------------------------------------
+
+    def read_block(self, block_id, category="other", stream=None):
+        return self._device.read_block(block_id, category, stream=stream)
+
+    def write_block(self, block_id, data, category="other", stream=None):
+        self._device.write_block(block_id, data, category, stream=stream)
+
+    def read_blocks(self, block_ids, category="other", stream=None):
+        return self._device.read_blocks(block_ids, category, stream=stream)
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        self._device.write_blocks(block_ids, datas, category, stream=stream)
+
+    def free_blocks(self, block_ids) -> None:
+        self._device.free_blocks(block_ids)
+
+    # -- recovery holds ----------------------------------------------------
+
+    @property
+    def holding(self) -> bool:
+        return self._device.holding
+
+    def push_hold(self) -> None:
+        self._device.push_hold()
+
+    def pop_hold(self, restore: bool) -> None:
+        self._device.pop_hold(restore)
+
+    def stash_block(self, block_id: int, data: bytes) -> None:
+        self._device.stash_block(block_id, data)
+
+    def store_block_raw(self, block_id: int, data: bytes) -> None:
+        self._device.store_block_raw(block_id, data)
+
+    # -- parallel-disk surface ---------------------------------------------
+
+    @property
+    def disks(self) -> int:
+        return self._device.disks
+
+    @property
+    def prefetch_depth(self) -> int:
+        return self._device.prefetch_depth
+
+    def disk_of(self, block_id: int) -> int:
+        return self._device.disk_of(block_id)
+
+    def prefetch_blocks(self, block_ids, category="other", stream=None):
+        return self._device.prefetch_blocks(block_ids, category, stream=stream)
+
+    def write_block_behind(self, block_id, data, category="other", stream=None):
+        self._device.write_block_behind(block_id, data, category, stream=stream)

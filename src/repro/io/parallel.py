@@ -35,8 +35,7 @@ consumer actually waited).
 during a k-way merge the loser tree's embedded keys reveal each run's
 current head, and the run with the *smallest* head key is the one that will
 drain its buffer soonest - so its next block is fetched first (Knuth's
-forecasting, vol. 3 §5.4.9).  A round-robin policy is kept as the naive
-baseline the benchmark compares against.
+forecasting, vol. 3 §5.4.9).  Forecasting is the only prefetch policy.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ from collections import deque
 from ..errors import DeviceError
 from .device import BlockDevice, DEFAULT_BLOCK_SIZE
 from .stats import CostModel, classify_extent
-
-#: Recognized prefetch scheduling policies.
-PREFETCH_POLICIES = ("forecast", "round-robin")
 
 #: Write-behind depth per stream: one block being filled by the writer plus
 #: this many in flight before the writer must wait (double buffering).
@@ -70,8 +66,6 @@ class StripedDevice(BlockDevice):
         cost_model: per-disk seek/transfer parameters.
         prefetch_depth: maximum blocks held in the prefetch window; 0
             disables prefetching entirely.
-        prefetch_policy: advisory scheduling policy consumed by
-            :class:`MergePrefetcher` (``forecast`` or ``round-robin``).
         write_buffers: write-behind depth per stream (see module docs).
     """
 
@@ -81,7 +75,6 @@ class StripedDevice(BlockDevice):
         block_size: int = DEFAULT_BLOCK_SIZE,
         cost_model: CostModel | None = None,
         prefetch_depth: int = 0,
-        prefetch_policy: str = "forecast",
         write_buffers: int = DEFAULT_WRITE_BUFFERS,
     ):
         if disks < 1:
@@ -90,11 +83,6 @@ class StripedDevice(BlockDevice):
             raise DeviceError(
                 f"prefetch_depth cannot be negative: {prefetch_depth}"
             )
-        if prefetch_policy not in PREFETCH_POLICIES:
-            raise DeviceError(
-                f"unknown prefetch policy {prefetch_policy!r}; "
-                f"expected one of {PREFETCH_POLICIES}"
-            )
         if write_buffers < 1:
             raise DeviceError(
                 f"need at least one write buffer, got {write_buffers}"
@@ -102,7 +90,6 @@ class StripedDevice(BlockDevice):
         super().__init__(block_size=block_size, cost_model=cost_model)
         self.disks = disks
         self.prefetch_depth = prefetch_depth
-        self.prefetch_policy = prefetch_policy
         self.write_buffers = write_buffers
         self._shards = [
             BlockDevice(block_size=block_size, cost_model=cost_model)
@@ -502,12 +489,9 @@ class MergePrefetcher:
     each run's freshly pulled head key (:meth:`note_head`) - with embedded
     normalized keys these are exactly the loser tree's comparison keys -
     and the prefetcher keeps each live run at most one block ahead of its
-    reader, choosing *which* runs get the device's limited prefetch slots:
-
-    * ``forecast``: the run with the smallest head key drains first, so it
-      is served first (Knuth's forecasting rule).
-    * ``round-robin``: runs are served cyclically, ignoring the keys - the
-      naive baseline.
+    reader.  The device's limited prefetch slots go to the run with the
+    smallest head key first, because it drains first (Knuth's forecasting
+    rule).
 
     The prefetcher only ever *reorders* reads the merge was about to issue
     with the same stream keys, so counters and simulated model time are
@@ -521,27 +505,17 @@ class MergePrefetcher:
         readers,
         category: str,
         streams: list[str],
-        policy: str | None = None,
     ):
-        policy = policy or getattr(device, "prefetch_policy", None)
-        if policy not in PREFETCH_POLICIES:
-            policy = "forecast"
         self._device = device
         self._runs = list(runs)
         self._readers = list(readers)
         self._category = category
         self._streams = list(streams)
-        self._policy = policy
         count = len(self._runs)
         self._head_keys: list = [None] * count
         self._alive = [True] * count
         # Highest block index already issued (demand or prefetch), per run.
         self._issued = [0] * count
-        self._cycle = 0
-
-    @property
-    def policy(self) -> str:
-        return self._policy
 
     def note_head(self, index: int, key) -> None:
         """Record run ``index``'s new head key after a pull."""
@@ -576,44 +550,25 @@ class MergePrefetcher:
         return needy
 
     def pump(self) -> int:
-        """Issue prefetches while slots are free; returns blocks issued."""
+        """Issue prefetches while slots are free; returns blocks issued.
+
+        One pass suffices: a needy run's next block is exactly one past
+        its reader, so once issued the run is not needy again until its
+        reader advances.
+        """
         issued_total = 0
-        while True:
-            needy = self._needy()
-            if not needy:
-                return issued_total
-            if self._policy == "forecast":
-                order = sorted(needy, key=self._forecast_priority)
-            else:
-                order = sorted(
-                    needy,
-                    key=lambda i: (i - self._cycle) % len(self._runs),
-                )
-            progressed = False
-            for index in order:
-                run = self._runs[index]
-                nxt = self._issued[index]
-                issued = self._device.prefetch_blocks(
-                    [run.block_ids[nxt]],
-                    self._category,
-                    stream=self._streams[index],
-                )
-                if not issued:
-                    return issued_total
-                self._issued[index] = nxt + 1
-                issued_total += issued
-                progressed = True
-                if self._policy == "round-robin":
-                    self._cycle = (index + 1) % len(self._runs)
-            if not progressed:
-                return issued_total
-
-
-def supports_prefetch(io_target) -> bool:
-    """True when ``io_target`` (device/pool/proxy) can prefetch blocks."""
-    return getattr(io_target, "prefetch_depth", 0) > 0 and callable(
-        getattr(io_target, "prefetch_blocks", None)
-    )
+        for index in sorted(self._needy(), key=self._forecast_priority):
+            nxt = self._issued[index]
+            issued = self._device.prefetch_blocks(
+                [self._runs[index].block_ids[nxt]],
+                self._category,
+                stream=self._streams[index],
+            )
+            if not issued:
+                break
+            self._issued[index] = nxt + 1
+            issued_total += issued
+        return issued_total
 
 
 class DiskTimeline:

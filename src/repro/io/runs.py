@@ -573,9 +573,7 @@ class CompressedRunWriter:
         del self._pending[:count]
         self._pending_bytes -= take_bytes
 
-        blob = encode_records(
-            records, self._config.embedded_keys, self._config.codec
-        )
+        blob = encode_records(records, self._config.embedded_keys)
         self._stats.record_compression(take_bytes, len(blob))
         size = self._store.device.block_size
         block_count = -(-len(blob) // size)

@@ -106,7 +106,7 @@ class MergeOptions:
         embedded_keys: prefix run records with a byte-comparable normalized
             key so merge passes never decode records.
         keys: normalized-key layout knobs (:class:`KeyOptions`).
-        compress: run-compression codec (``container`` or ``zlib``), or
+        compress: run-compression codec (``container``), or
             None to store runs uncompressed.  Compression alone changes
             only byte and CPU counters: the records, comparisons, and
             pass structure stay bit-identical.
@@ -143,7 +143,7 @@ class MergeOptions:
         if self.compress_capacity and self.compress is None:
             raise SortSpecError(
                 "compress_capacity requires a compression codec "
-                "(set compress='container' or 'zlib')"
+                "(set compress='container')"
             )
 
     @property
@@ -524,7 +524,7 @@ class RunFormer:
         keys = [key for key, _payload in self._batch]
         payloads = [payload for _key, payload in self._batch]
         raw_bytes = sum(4 + len(payload) for payload in payloads)
-        blob = encode_records(payloads, False, self.options.compress)
+        blob = encode_records(payloads, False)
         stats.record_compression(raw_bytes, len(blob))
         self._chunks.append((keys, blob, raw_bytes))
         self._chunk_bytes += len(blob)

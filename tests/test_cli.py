@@ -189,6 +189,19 @@ class TestSortCommand:
             main(["sort", d1_file, "--kernel", "scalar"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--prefetch-policy", "forecast"],
+            ["--prefetch-policy", "round-robin"],
+            ["--compress", "zlib"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, d1_file, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sort", d1_file, *flag])
+        assert exit_info.value.code == 2
+
     def test_scratch_file_backing(self, d1_file, tmp_path):
         scratch = tmp_path / "scratch.bin"
         code = main(
@@ -282,6 +295,22 @@ class TestAnalyzeCommand:
         assert "max fan-out" in out
         assert "Thm 4.4 lower bound" in out
         assert "merge sort passes" in out
+
+    def test_prints_the_planner_pick(self, d1_file, capsys):
+        from repro.analysis import Planner, profile_document
+        from repro.io import BlockDevice, RunStore
+        from repro.xml import Document
+
+        assert main(["analyze", d1_file, "--memory", "16"]) == 0
+        out = capsys.readouterr().out
+        store = RunStore(BlockDevice(block_size=4096))
+        document = Document.from_file(store, d1_file)
+        plan = Planner(
+            profile_document(document), memory_blocks=16, block_size=4096
+        ).choose(fixed={"disks": 1})
+        # The same one decision `sort --plan auto` makes, with its why.
+        assert plan.describe() in out
+        assert "\n- " in out
 
 
 class TestDedupCommand:

@@ -30,7 +30,6 @@ from repro.service.scheduler import Scheduler, run_solo
 from repro.service.workload import WorkloadSpec
 from repro.io.lease import ResourcePool
 from repro.xml.codec import TokenCodec, encode_varint, read_varint
-from repro.xml.document import Document
 from repro.generators.level_fanout import level_fanout_events
 
 from .conftest import flat_tree, store_tree
@@ -50,10 +49,9 @@ def _records(count, seed=3):
 
 
 class TestCodec:
-    @pytest.mark.parametrize("codec", ["container", "zlib"])
-    def test_round_trip(self, codec):
+    def test_round_trip(self):
         records = _records(40)
-        blob = encode_records(records, False, codec)
+        blob = encode_records(records, False)
         assert decode_records(blob) == records
 
     def test_embedded_keys_round_trip(self):
@@ -63,15 +61,21 @@ class TestCodec:
                 [b"k%03d" % i for i in range(20)], _records(20)
             )
         ]
-        blob = encode_records(records, True, "container")
+        blob = encode_records(records, True)
         assert decode_records(blob) == records
 
     def test_empty_group(self):
-        assert decode_records(encode_records([], False, "container")) == []
+        assert decode_records(encode_records([], False)) == []
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(RunCodecError):
-            encode_records([b"x"], False, "snappy")
+            CompressionConfig(codec="zlib")
+        # Codec id 2 named a removed whole-container zlib codec; a
+        # segment carrying it is rejected like any other unknown id.
+        blob = encode_records(_records(12), False)
+        assert blob[1] == 1
+        with pytest.raises(RunCodecError, match="unknown codec id 2"):
+            decode_records(blob[:1] + bytes([2]) + blob[2:])
 
     @pytest.mark.parametrize(
         "mutate",
@@ -87,7 +91,7 @@ class TestCodec:
         ],
     )
     def test_corruption_is_typed(self, mutate):
-        blob = encode_records(_records(12), False, "container")
+        blob = encode_records(_records(12), False)
         with pytest.raises(RunCodecError):
             decode_records(mutate(blob))
 
@@ -239,17 +243,16 @@ class TestSortIdentity:
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     def test_digest_comparisons_tokens_identical(self, algorithm):
         base_digest, base = _sort(algorithm)
-        for codec in ("container", "zlib"):
-            digest, report = _sort(algorithm, compress=codec)
-            assert digest == base_digest
-            assert report.stats.comparisons == base.stats.comparisons
-            assert report.stats.tokens == base.stats.tokens
-            # The honest part: bytes really moved.
-            assert report.stats.compress_stored_bytes > 0
-            assert (
-                report.stats.compress_stored_bytes
-                < report.stats.compress_raw_bytes
-            )
+        digest, report = _sort(algorithm, compress="container")
+        assert digest == base_digest
+        assert report.stats.comparisons == base.stats.comparisons
+        assert report.stats.tokens == base.stats.tokens
+        # The honest part: bytes really moved.
+        assert report.stats.compress_stored_bytes > 0
+        assert (
+            report.stats.compress_stored_bytes
+            < report.stats.compress_raw_bytes
+        )
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     def test_off_is_bit_identical(self, algorithm):

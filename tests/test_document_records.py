@@ -290,7 +290,7 @@ def _wire_blob(names: list[bytes], records: list[bytes]) -> bytes:
     table = encode_varint(len(names)) + b"".join(
         encode_varint(len(name)) + name for name in names
     )
-    body = encode_records(records, embedded_keys=False, codec="container")
+    body = encode_records(records, embedded_keys=False)
     return (
         _WIRE_MAGIC + encode_varint(len(table)) + table
         + encode_varint(len(body)) + body

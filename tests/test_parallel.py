@@ -19,7 +19,7 @@ from repro.faults import (
 )
 from repro.generators import level_fanout_events
 from repro.io import BlockDevice, BufferPool, RunStore, StripedDevice
-from repro.io.parallel import MergePrefetcher, supports_prefetch
+from repro.io.parallel import MergePrefetcher
 from repro.merge.engine import MergeOptions
 
 BLOCK = 256
@@ -61,8 +61,6 @@ class TestLayout:
             StripedDevice(disks=0)
         with pytest.raises(DeviceError):
             StripedDevice(disks=2, prefetch_depth=-1)
-        with pytest.raises(DeviceError):
-            StripedDevice(disks=2, prefetch_policy="psychic")
         with pytest.raises(DeviceError):
             StripedDevice(disks=2, write_buffers=0)
 
@@ -450,19 +448,19 @@ class TestStripedThroughPool:
         ) == device.stats.total_ios
 
     def test_pool_forwards_parallel_surface(self):
-        device = StripedDevice(
-            disks=2, block_size=BLOCK, prefetch_depth=4,
-            prefetch_policy="round-robin",
-        )
+        device = StripedDevice(disks=2, block_size=BLOCK, prefetch_depth=4)
         start = device.allocate(4)
         for i in range(4):
             device.write_block(start + i, bytes([i]), "setup")
         pool = BufferPool(device, 4)
         assert pool.disks == 2
         assert pool.prefetch_depth == 4
-        assert pool.prefetch_policy == "round-robin"
         assert pool.disk_of(start + 1) == device.disk_of(start + 1)
-        assert supports_prefetch(pool)
+        # The planner may resize the window after the pool is built; the
+        # pool reads the device's value, never a copy.
+        device.prefetch_depth = 0
+        assert pool.prefetch_depth == 0
+        assert pool.prefetch_blocks([start], "r") == 0
 
     def test_pool_prefetch_reports_cached_as_satisfied(self):
         device = StripedDevice(disks=2, block_size=BLOCK, prefetch_depth=4)
@@ -494,7 +492,6 @@ class _FakeTarget:
     """Records prefetch order; declines after ``budget`` issues."""
 
     prefetch_depth = 8
-    prefetch_policy = None
 
     def __init__(self, budget=100):
         self.budget = budget
@@ -512,7 +509,7 @@ class _FakeTarget:
 
 
 class TestMergePrefetcher:
-    def _setup(self, policy, budget=100, nruns=3):
+    def _setup(self, budget=100, nruns=3):
         target = _FakeTarget(budget)
         runs = [_FakeRun(i, 4) for i in range(nruns)]
         readers = [_FakeReader() for _ in range(nruns)]
@@ -520,14 +517,11 @@ class TestMergePrefetcher:
             target, runs, readers,
             category="merge_read",
             streams=[f"merge_read:run{i}" for i in range(nruns)],
-            policy=policy,
         )
         return target, runs, readers, prefetcher
 
     def test_forecast_serves_smallest_head_first(self):
-        target, runs, _readers, prefetcher = self._setup(
-            "forecast", budget=3
-        )
+        target, runs, _readers, prefetcher = self._setup(budget=3)
         prefetcher.note_head(0, b"mango")
         prefetcher.note_head(1, b"apple")
         prefetcher.note_head(2, b"fig")
@@ -540,19 +534,15 @@ class TestMergePrefetcher:
         ]
 
     def test_unknown_head_outranks_forecast(self):
-        target, runs, _readers, prefetcher = self._setup(
-            "forecast", budget=1
-        )
+        target, runs, _readers, prefetcher = self._setup(budget=1)
         prefetcher.note_head(0, b"aaa")
         # Run 2 has not been pulled yet: it is demanded next, so it wins
         # the only slot even against the smallest known key.
         prefetcher.pump()
         assert target.issued == [runs[1].block_ids[0]]
 
-    def test_round_robin_cycles(self):
-        target, runs, _readers, prefetcher = self._setup(
-            "round-robin", budget=3
-        )
+    def test_equal_heads_tie_break_by_run_index(self):
+        target, runs, _readers, prefetcher = self._setup(budget=3)
         for index in range(3):
             prefetcher.note_head(index, b"zzz")
         prefetcher.pump()
@@ -563,9 +553,7 @@ class TestMergePrefetcher:
         ]
 
     def test_exhausted_runs_are_skipped(self):
-        target, runs, _readers, prefetcher = self._setup(
-            "forecast", budget=10
-        )
+        target, runs, _readers, prefetcher = self._setup(budget=10)
         for index in range(3):
             prefetcher.note_head(index, bytes([index]))
         prefetcher.exhausted(1)
@@ -573,9 +561,7 @@ class TestMergePrefetcher:
         assert runs[1].block_ids[0] not in target.issued
 
     def test_lookahead_limited_to_one_block(self):
-        target, runs, readers, prefetcher = self._setup(
-            "forecast", budget=100
-        )
+        target, runs, readers, prefetcher = self._setup(budget=100)
         for index in range(3):
             prefetcher.note_head(index, bytes([index]))
         prefetcher.pump()
@@ -587,13 +573,11 @@ class TestMergePrefetcher:
         assert len(target.issued) == 4
 
     def test_supports_prefetch(self):
-        assert not supports_prefetch(BlockDevice(block_size=BLOCK))
-        assert not supports_prefetch(
-            StripedDevice(disks=2, block_size=BLOCK)
-        )
-        assert supports_prefetch(
-            StripedDevice(disks=2, block_size=BLOCK, prefetch_depth=1)
-        )
+        # The merge prefetches only when its I/O target reports a window.
+        assert BlockDevice(block_size=BLOCK).prefetch_depth == 0
+        assert StripedDevice(disks=2, block_size=BLOCK).prefetch_depth == 0
+        striped = StripedDevice(disks=2, block_size=BLOCK, prefetch_depth=1)
+        assert BufferPool(striped, 2).prefetch_depth == 1
 
 
 class TestEndToEndMergePrefetch:
@@ -608,7 +592,7 @@ class TestEndToEndMergePrefetch:
         )
         forecast = run_merge_sort(
             factory, memory_blocks=12, merge_options=options, disks=4,
-            prefetch_depth=8, prefetch_policy="forecast",
+            prefetch_depth=8,
         )
         assert forecast.total_ios == off.total_ios
         assert forecast.detail["breakdown"] == off.detail["breakdown"]
